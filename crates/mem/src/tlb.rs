@@ -49,6 +49,10 @@ impl Default for TlbConfig {
 
 /// A set-associative TLB with LRU replacement.
 ///
+/// The ways of every set live in one flat array, the page number comes
+/// from a shift (page sizes are powers of two), and the set index from a
+/// mask when the set count is a power of two too.
+///
 /// # Example
 ///
 /// ```
@@ -62,7 +66,13 @@ impl Default for TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<(u64, u64)>>, // (page tag, last_use)
+    /// `(page, last_use)` per way, set-major; `last_use == 0` marks an
+    /// empty way (the clock is at least 1 once anything is filled). The
+    /// full page number is the tag: the set index is a function of it.
+    ways: Vec<(u64, u64)>,
+    assoc: usize,
+    sets: u64,
+    page_shift: u32,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -82,10 +92,12 @@ impl Tlb {
             "entries must be a multiple of ways"
         );
         assert!(config.page_bytes.is_power_of_two(), "page size must be 2^n");
-        let sets = (config.entries / config.ways) as usize;
         Tlb {
             config,
-            sets: vec![Vec::with_capacity(config.ways as usize); sets],
+            ways: vec![(0, 0); config.entries as usize],
+            assoc: config.ways as usize,
+            sets: (config.entries / config.ways) as u64,
+            page_shift: config.page_bytes.trailing_zeros(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -100,25 +112,25 @@ impl Tlb {
     /// Translates one access; returns `true` on TLB hit.
     pub fn access(&mut self, addr: Addr) -> bool {
         self.clock += 1;
-        let page = addr.block(self.config.page_bytes);
-        let n_sets = self.sets.len() as u64;
-        let set = &mut self.sets[(page % n_sets) as usize];
-        let tag = page / n_sets;
-        if let Some(e) = set.iter_mut().find(|(t, _)| *t == tag) {
+        let page = addr.as_u64() >> self.page_shift;
+        let set = if self.sets.is_power_of_two() {
+            page & (self.sets - 1)
+        } else {
+            page % self.sets
+        } as usize;
+        let ways = &mut self.ways[set * self.assoc..(set + 1) * self.assoc];
+        if let Some(e) = ways.iter_mut().find(|(p, lu)| *p == page && *lu != 0) {
             e.1 = self.clock;
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if set.len() < self.config.ways as usize {
-            set.push((tag, self.clock));
-        } else {
-            let victim = set
-                .iter_mut()
-                .min_by_key(|(_, lu)| *lu)
-                .expect("full set non-empty");
-            *victim = (tag, self.clock);
-        }
+        // The least recently used way; an empty way (last use 0) first.
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|(_, lu)| *lu)
+            .expect("at least one way");
+        *victim = (page, self.clock);
         false
     }
 
@@ -149,9 +161,7 @@ impl Tlb {
 
     /// Clears residency and counters (between kernels).
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.ways.fill((0, 0));
         self.hits = 0;
         self.misses = 0;
     }
@@ -230,6 +240,143 @@ mod tests {
         t.access(page(2)); // evicts 1
         assert!(t.access(page(0)), "0 must survive");
         assert!(!t.access(page(1)), "1 was evicted");
+    }
+
+    /// The per-set `Vec<Vec<_>>` TLB the flat array replaced, kept as the
+    /// reference model: tag = page / sets, set = page % sets, fill in
+    /// order, evict the least recently used way of a full set.
+    struct ModelTlb {
+        config: TlbConfig,
+        sets: Vec<Vec<(u64, u64)>>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ModelTlb {
+        fn new(config: TlbConfig) -> Self {
+            let sets = (config.entries / config.ways) as usize;
+            ModelTlb {
+                config,
+                sets: vec![Vec::with_capacity(config.ways as usize); sets],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: Addr) -> bool {
+            self.clock += 1;
+            let page = addr.block(self.config.page_bytes);
+            let n_sets = self.sets.len() as u64;
+            let set = &mut self.sets[(page % n_sets) as usize];
+            let tag = page / n_sets;
+            if let Some(e) = set.iter_mut().find(|(t, _)| *t == tag) {
+                e.1 = self.clock;
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            if set.len() < self.config.ways as usize {
+                set.push((tag, self.clock));
+            } else {
+                let victim = set
+                    .iter_mut()
+                    .min_by_key(|(_, lu)| *lu)
+                    .expect("full set non-empty");
+                *victim = (tag, self.clock);
+            }
+            false
+        }
+
+        fn reset(&mut self) {
+            for s in &mut self.sets {
+                s.clear();
+            }
+            self.hits = 0;
+            self.misses = 0;
+        }
+    }
+
+    /// The flat TLB reproduces the reference model's hit/miss sequence and
+    /// walk cycles on random streams mixing locality and scatter, over the
+    /// UVM geometry, the prefetch (2 MB) geometry, a non-power-of-two set
+    /// count and degenerate shapes.
+    #[test]
+    fn flat_tlb_matches_per_set_model() {
+        let geometries = [
+            TlbConfig::a100_uvm(),
+            TlbConfig {
+                page_bytes: 2 << 20,
+                walk_cycles: 200.0,
+                ..TlbConfig::a100_uvm()
+            },
+            TlbConfig {
+                page_bytes: 4096,
+                entries: 12,
+                ways: 4,
+                walk_cycles: 100.0,
+            },
+            TlbConfig {
+                page_bytes: 1,
+                entries: 1,
+                ways: 1,
+                walk_cycles: 1.0,
+            },
+            TlbConfig {
+                page_bytes: 64 * 1024,
+                entries: 7,
+                ways: 7,
+                walk_cycles: 3.0,
+            },
+        ];
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for cfg in geometries {
+            let mut flat = Tlb::new(cfg);
+            let mut model = ModelTlb::new(cfg);
+            let reach = cfg.page_bytes * cfg.entries as u64;
+            let mut cursor = 0u64;
+            for step in 0..20_000u32 {
+                let r = next();
+                // Mostly a walking cursor within twice the TLB's reach,
+                // sometimes a far jump, now and then an extreme address.
+                let addr = match r % 16 {
+                    0 => next(),
+                    1 => u64::MAX - (r >> 8) % 4096,
+                    2..=4 => {
+                        cursor = next() % (reach * 64);
+                        cursor
+                    }
+                    _ => {
+                        cursor = cursor.wrapping_add((r >> 4) % (2 * reach / 3 + 1));
+                        cursor % (reach * 64)
+                    }
+                };
+                assert_eq!(
+                    flat.access(Addr::new(addr)),
+                    model.access(Addr::new(addr)),
+                    "{cfg:?} step {step} addr {addr:#x}"
+                );
+                if step == 10_000 {
+                    flat.reset();
+                    model.reset();
+                }
+            }
+            assert_eq!(flat.hits(), model.hits, "{cfg:?}");
+            assert_eq!(flat.misses(), model.misses, "{cfg:?}");
+            assert!(flat.hits() > 0 && flat.misses() > 0, "{cfg:?}");
+            assert_eq!(
+                flat.walk_cycles(),
+                model.misses as f64 * cfg.walk_cycles,
+                "{cfg:?}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! from the serve seed and the request id), so a policy decision depends
 //! only on `(policy, view, request, seed)` and never on thread timing.
 //!
-//! Four implementations ship:
+//! Five implementations ship:
 //!
 //! * [`ModePacking`] — the fleet is split into an *explicit* lane
 //!   (async memcpy) and a *managed* lane (UVM + prefetch); requests are

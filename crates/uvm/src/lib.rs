@@ -8,7 +8,7 @@
 //! chunks migrate over the interconnect. `cudaMemPrefetchAsync` moves whole
 //! ranges ahead of time instead. This crate models that machinery:
 //!
-//! * [`page`] — page/chunk identifiers and residency state;
+//! * [`page`] — page/chunk identifiers and chunk ranges;
 //! * [`table`] — the per-device page table with residency tracking and
 //!   LRU chunk eviction for oversubscription;
 //! * [`fault`] — far-fault generation and batched servicing (the source of
@@ -37,7 +37,7 @@ pub mod touch;
 
 pub use fault::{FaultConfig, FaultReport};
 pub use heuristic::HeuristicPrefetcher;
-pub use page::{ChunkId, Residency};
+pub use page::ChunkId;
 pub use prefetch::{PrefetchModel, Regularity};
 pub use space::{UvmConfig, UvmSpace};
 pub use table::PageTable;

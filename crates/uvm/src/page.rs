@@ -1,4 +1,4 @@
-//! Page/chunk identifiers and residency state.
+//! Page/chunk identifiers and chunk-range arithmetic.
 //!
 //! The driver tracks residency and migrates data at a coarser granularity
 //! than the 4 KB architectural page — 64 KB chunks by default here, matching
@@ -7,6 +7,7 @@
 
 use hetsim_mem::addr::Addr;
 use std::fmt;
+use std::ops::Range;
 
 /// Default architectural page size (x86 host), bytes.
 pub const PAGE_SIZE: u64 = 4 * 1024;
@@ -46,15 +47,6 @@ impl fmt::Display for ChunkId {
     }
 }
 
-/// Where a chunk's backing memory currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Residency {
-    /// Resident in host DRAM (the initial state of managed memory).
-    Host,
-    /// Resident in device (GPU) memory.
-    Device,
-}
-
 /// Enumerates the chunks overlapped by `[base, base + bytes)`.
 ///
 /// # Example
@@ -66,6 +58,15 @@ pub enum Residency {
 /// assert_eq!(ids.len(), 3);
 /// ```
 pub fn chunks_of_range(base: Addr, bytes: u64, chunk_size: u64) -> impl Iterator<Item = ChunkId> {
+    chunk_span(base, bytes, chunk_size).map(ChunkId::new)
+}
+
+/// The chunk indices overlapped by `[base, base + bytes)`, as a range.
+///
+/// # Panics
+///
+/// Panics if `chunk_size` is zero.
+pub(crate) fn chunk_span(base: Addr, bytes: u64, chunk_size: u64) -> Range<u64> {
     assert!(chunk_size > 0, "chunk size must be non-zero");
     let first = base.as_u64() / chunk_size;
     let last = if bytes == 0 {
@@ -73,7 +74,7 @@ pub fn chunks_of_range(base: Addr, bytes: u64, chunk_size: u64) -> impl Iterator
     } else {
         (base.as_u64() + bytes - 1) / chunk_size + 1
     };
-    (first..last).map(ChunkId::new)
+    first..last
 }
 
 #[cfg(test)]

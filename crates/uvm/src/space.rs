@@ -3,16 +3,22 @@
 //! One `UvmSpace` models the unified address space of one device: it owns
 //! the page table, applies fault/prefetch cost models, moves chunks over the
 //! CPU↔GPU link, and accumulates [`UvmCounters`].
+//!
+//! Every range operation resolves its chunk range into per-region slot runs
+//! once (one binary search over the regions) and walks the slots in address
+//! order; [`UvmSpace::demand_touch_sequence`] looks each touch's slot up
+//! once. Refault history lives in the page table as a per-slot bit (see
+//! [`crate::table`]), so no operation hashes chunk ids.
 
 use crate::fault::{FaultConfig, FaultReport};
-use crate::page::{chunks_of_range, ChunkId, CHUNK_SIZE};
-use crate::table::PageTable;
+use crate::page::{chunk_span, CHUNK_SIZE};
+use crate::table::{PageTable, SlotRef, Span};
 use crate::touch::{ChunkTouch, FaultBatcher, TouchConfig};
 use hetsim_counters::UvmCounters;
 use hetsim_engine::time::Nanos;
 use hetsim_mem::addr::Addr;
 use hetsim_mem::link::{CpuGpuLink, LinkPath};
-use std::collections::HashSet;
+use std::ops::Range;
 
 /// Configuration of a UVM space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,11 +60,6 @@ pub struct UvmSpace {
     counters: UvmCounters,
     resident_bytes: u64,
     eviction_transfer: Nanos,
-    /// Chunks that have left the device at least once (LRU eviction or
-    /// prefetch displacement): a later fault on one of these is a
-    /// *refault* — the thrashing signature of re-touch workloads under
-    /// memory pressure.
-    evicted_once: HashSet<ChunkId>,
 }
 
 impl UvmSpace {
@@ -70,7 +71,6 @@ impl UvmSpace {
             counters: UvmCounters::new(),
             resident_bytes: 0,
             eviction_transfer: Nanos::ZERO,
-            evicted_once: HashSet::new(),
         }
     }
 
@@ -82,13 +82,30 @@ impl UvmSpace {
     /// Registers a managed allocation (`cudaMallocManaged`). Data starts
     /// host-resident; no transfer happens yet.
     pub fn managed_alloc(&mut self, base: Addr, bytes: u64) {
-        for c in chunks_of_range(base, bytes, self.config.chunk_size) {
-            if self.table.is_resident(c) {
-                // Address reuse: drop the stale residency accounting.
-                self.resident_bytes -= self.config.chunk_size;
+        let reset = self.table.register_range(self.chunks(base, bytes));
+        // Address reuse: drop the stale residency accounting.
+        self.resident_bytes -= reset as u64 * self.config.chunk_size;
+    }
+
+    /// The chunk indices a byte range overlaps.
+    fn chunks(&self, base: Addr, bytes: u64) -> Range<u64> {
+        chunk_span(base, bytes, self.config.chunk_size)
+    }
+
+    /// Calls `f` on every chunk of the range in address order, with its
+    /// slot, or `None` for a chunk no region covers. The slots are resolved
+    /// once per region; `f` may change slot state but must not register.
+    fn for_each_chunk(
+        &mut self,
+        chunks: Range<u64>,
+        mut f: impl FnMut(&mut Self, Option<SlotRef>),
+    ) {
+        let mut walk = self.table.spans(chunks);
+        while let Some(span) = self.table.next_span(&mut walk) {
+            match span {
+                Span::Slots(run) => run.for_each(|r| f(self, Some(r))),
+                Span::Gap(len) => (0..len).for_each(|_| f(self, None)),
             }
-            self.evicted_once.remove(&c);
-            self.table.register(c);
         }
     }
 
@@ -111,15 +128,32 @@ impl UvmSpace {
         link: &CpuGpuLink,
     ) -> Nanos {
         assert!((0.0..=1.0).contains(&coverage), "coverage out of [0,1]");
-        let pending: Vec<ChunkId> = chunks_of_range(base, bytes, self.config.chunk_size)
-            .filter(|&c| !self.table.is_resident(c))
-            .collect();
-        let n = (pending.len() as f64 * coverage).round() as usize;
+        let chunks = self.chunks(base, bytes);
+        // Count and mark the chunks not resident now: the covered prefix is
+        // fixed before anything moves, because each move may evict a chunk
+        // further along the same range.
+        let mut pending = 0u64;
+        self.for_each_chunk(chunks.clone(), |s, r| match r {
+            Some(r) if s.table.slot_is_resident(r) => {}
+            Some(r) => {
+                s.table.mark_slot(r);
+                pending += 1;
+            }
+            None => pending += 1,
+        });
+        let n = (pending as f64 * coverage).round() as u64;
+        // Move the first `n` marked chunks and clear every mark; an
+        // unregistered chunk inside that prefix cannot move.
         let mut moved = 0u64;
-        for &c in pending.iter().take(n) {
-            self.make_resident(c);
-            moved += 1;
-        }
+        self.for_each_chunk(chunks, |s, r| match r {
+            Some(r) => {
+                if s.table.take_slot_mark(r) && moved < n {
+                    s.make_resident(r);
+                    moved += 1;
+                }
+            }
+            None => assert!(moved == n, "made unmanaged chunk resident"),
+        });
         if moved == 0 {
             return Nanos::ZERO;
         }
@@ -165,16 +199,15 @@ impl UvmSpace {
     ) -> FaultReport {
         let mut faulted = 0u64;
         let mut refaults = 0u64;
-        for c in chunks_of_range(base, bytes, self.config.chunk_size) {
-            if !self.table.is_resident(c) {
-                if self.evicted_once.contains(&c) {
-                    refaults += 1;
-                }
-                self.make_resident(c);
+        self.for_each_chunk(self.chunks(base, bytes), |s, r| {
+            let r = r.expect("made unmanaged chunk resident");
+            if !s.table.slot_is_resident(r) {
+                refaults += u64::from(s.table.slot_was_evicted(r));
+                s.make_resident(r);
                 faulted += 1;
             }
-            self.table.touch(c, write);
-        }
+            s.table.touch_slot(r, write);
+        });
         if faulted == 0 {
             return FaultReport::default();
         }
@@ -273,15 +306,15 @@ impl UvmSpace {
         let mut heuristic_pages = 0u64;
         let mut refaults = 0u64;
         for t in touches {
-            if self.table.is_resident(t.chunk) {
-                self.table.touch(t.chunk, t.write);
+            let slot = self.table.find(t.chunk);
+            if let Some(r) = slot.filter(|&r| self.table.slot_is_resident(r)) {
+                self.table.touch_slot(r, t.write);
                 batcher.hit();
                 continue;
             }
+            let r = slot.expect("made unmanaged chunk resident");
             faulted += 1;
-            if self.evicted_once.contains(&t.chunk) {
-                refaults += 1;
-            }
+            refaults += u64::from(self.table.slot_was_evicted(r));
             batcher.fault();
             let idx = t.chunk.index();
             let adjacent = last_fault.is_some_and(|p| idx.abs_diff(p) <= spec_block.max(4));
@@ -291,22 +324,24 @@ impl UvmSpace {
                 1
             };
             last_fault = Some(idx);
-            self.make_resident(t.chunk);
-            self.table.touch(t.chunk, t.write);
+            self.make_resident(r);
+            self.table.touch_slot(r, t.write);
             if t.host_backed {
                 migrated += 1;
             }
             // The speculative block after the faulting chunk, clipped to
             // the managed range.
-            for c in idx + 1..idx + spec_block {
-                let spec = ChunkId::new(c);
-                if self.table.is_managed(spec) && !self.table.is_resident(spec) {
-                    self.make_resident(spec);
-                    heuristic_pages += 1;
-                    if t.host_backed {
-                        migrated += 1;
+            if spec_block > 1 {
+                self.for_each_chunk(idx + 1..idx + spec_block, |s, spec| {
+                    let Some(spec) = spec else { return };
+                    if s.table.slot_is_managed(spec) && !s.table.slot_is_resident(spec) {
+                        s.make_resident(spec);
+                        heuristic_pages += 1;
+                        if t.host_backed {
+                            migrated += 1;
+                        }
                     }
-                }
+                });
             }
         }
         if faulted == 0 {
@@ -380,29 +415,16 @@ impl UvmSpace {
         path: LinkPath,
         link: &CpuGpuLink,
     ) -> Nanos {
-        let first = base.as_u64() / self.config.chunk_size;
-        let last = if bytes == 0 {
-            first
-        } else {
-            (base.as_u64() + bytes - 1) / self.config.chunk_size + 1
-        };
-        let dirty: Vec<ChunkId> = self
-            .table
-            .dirty_resident()
-            .into_iter()
-            .filter(|c| (first..last).contains(&c.index()))
-            .collect();
-        if dirty.is_empty() {
+        let mut cleaned = 0u64;
+        self.for_each_chunk(self.chunks(base, bytes), |s, r| {
+            if let Some(r) = r.filter(|&r| s.table.slot_is_resident(r)) {
+                cleaned += u64::from(s.table.clear_slot_dirty(r));
+            }
+        });
+        if cleaned == 0 {
             return Nanos::ZERO;
         }
-        for &c in &dirty {
-            // Re-registering would lose residency; clear dirty by touching
-            // through eviction-free path: mark clean via unregister/register
-            // is wrong, so extend the table API minimally through touch
-            // semantics: writeback leaves residency, clears dirty.
-            self.table.clear_dirty(c);
-        }
-        let bytes_moved = dirty.len() as u64 * self.config.chunk_size;
+        let bytes_moved = cleaned * self.config.chunk_size;
         let t = link.record_transfer(path, bytes_moved);
         hetsim_trace::session::with(|b| {
             let track = b.track("uvm");
@@ -411,7 +433,7 @@ impl UvmSpace {
                 hetsim_trace::Category::Migration,
                 "writeback",
                 t.as_nanos(),
-                Some(("chunks", dirty.len() as f64)),
+                Some(("chunks", cleaned as f64)),
             );
         });
         t
@@ -427,18 +449,25 @@ impl UvmSpace {
     /// Panics if `fraction` is outside `[0, 1]`.
     pub fn displace_fraction(&mut self, base: Addr, bytes: u64, fraction: f64) -> u64 {
         assert!((0.0..=1.0).contains(&fraction), "fraction out of [0,1]");
-        let resident: Vec<ChunkId> = chunks_of_range(base, bytes, self.config.chunk_size)
-            .filter(|&c| self.table.is_resident(c))
-            .collect();
-        let n = (resident.len() as f64 * fraction).round() as usize;
-        let mut displaced = 0u64;
-        for &c in resident.iter().rev().take(n) {
-            // Re-register: resets to host residency and clears dirty state.
-            self.table.register(c);
-            self.evicted_once.insert(c);
-            self.resident_bytes -= self.config.chunk_size;
-            displaced += 1;
-        }
+        let chunks = self.chunks(base, bytes);
+        let resident_at = |s: &Self, r: Option<SlotRef>| r.filter(|&r| s.table.slot_is_resident(r));
+        let mut resident = 0u64;
+        self.for_each_chunk(chunks.clone(), |s, r| {
+            resident += u64::from(resident_at(s, r).is_some());
+        });
+        let displaced = (resident as f64 * fraction).round() as u64;
+        // Skip the leading resident chunks; displacing moves nothing in, so
+        // residency ahead of the walk cannot change.
+        let mut skip = resident - displaced;
+        self.for_each_chunk(chunks, |s, r| {
+            let Some(r) = resident_at(s, r) else { return };
+            if skip > 0 {
+                skip -= 1;
+            } else {
+                s.table.displace_slot(r);
+            }
+        });
+        self.resident_bytes -= displaced * self.config.chunk_size;
         if displaced > 0 {
             self.counters.record_evicted_pages(displaced);
             hetsim_trace::session::with(|b| {
@@ -463,16 +492,14 @@ impl UvmSpace {
     /// dirty device-resident chunks.
     pub fn free(&mut self, base: Addr, bytes: u64, link: &CpuGpuLink) -> Nanos {
         let mut dirty_chunks = 0u64;
-        for c in chunks_of_range(base, bytes, self.config.chunk_size) {
-            let was_resident = self.table.is_resident(c);
-            self.evicted_once.remove(&c);
-            if self.table.unregister(c) {
-                dirty_chunks += 1;
+        let mut was_resident = 0u64;
+        self.for_each_chunk(self.chunks(base, bytes), |s, r| {
+            if let Some(r) = r {
+                was_resident += u64::from(s.table.slot_is_resident(r));
+                dirty_chunks += u64::from(s.table.unregister_slot(r));
             }
-            if was_resident {
-                self.resident_bytes -= self.config.chunk_size;
-            }
-        }
+        });
+        self.resident_bytes -= was_resident * self.config.chunk_size;
         if dirty_chunks == 0 {
             Nanos::ZERO
         } else {
@@ -483,14 +510,13 @@ impl UvmSpace {
         }
     }
 
-    /// Makes one chunk device-resident, evicting LRU chunks if the device
+    /// Makes one slot device-resident, evicting LRU chunks if the device
     /// is full.
-    fn make_resident(&mut self, chunk: ChunkId) {
+    fn make_resident(&mut self, slot: SlotRef) {
         let mut evicted = 0u64;
         while self.resident_bytes + self.config.chunk_size > self.config.device_capacity {
             match self.table.evict_lru() {
-                Some((victim, dirty)) => {
-                    self.evicted_once.insert(victim);
+                Some((_, dirty)) => {
                     self.resident_bytes -= self.config.chunk_size;
                     self.counters.record_evicted_pages(1);
                     evicted += 1;
@@ -517,7 +543,7 @@ impl UvmSpace {
                 );
             });
         }
-        self.table.make_resident(chunk);
+        self.table.make_slot_resident(slot);
         self.resident_bytes += self.config.chunk_size;
     }
 
@@ -545,6 +571,7 @@ impl UvmSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::ChunkId;
 
     fn space() -> UvmSpace {
         UvmSpace::new(UvmConfig::a100())

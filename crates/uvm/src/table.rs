@@ -9,18 +9,31 @@
 //! range per buffer), so the table stores per-chunk state in dense
 //! [`Vec`]-backed *regions* instead of a hash map, and threads an intrusive
 //! doubly-linked LRU list through the slots instead of keeping a separate
-//! ordered index. Every hot-path operation — `register`, `touch`,
-//! `make_resident`, `evict_lru` — is `O(1)` (plus a binary search over the
-//! handful of regions, one per buffer), which matters when Mega inputs
-//! oversubscribe the device by hundreds of thousands of chunks and
-//! irregular touch sequences hammer the fault path.
+//! ordered index. Region ids are stable — a new region is appended and only
+//! its place in the address-sorted index moves — so the LRU links, which
+//! name slots by `(region, offset)`, never go stale.
+//!
+//! Range operations resolve slots once per region, not once per chunk.
+//! [`PageTable::register_range`] resets the part of a range that overlaps
+//! existing regions and adds the rest with one resize or insert per gap;
+//! [`UvmSpace`](crate::space::UvmSpace) walks every other range (touch,
+//! prefetch, displacement, write-back, free) as per-region slot runs from
+//! one binary search, driving a crate-private slot API keyed by slot
+//! reference. The public per-chunk methods wrap the same slot operations.
+//!
+//! Each slot also carries the *refault bit*: set when the chunk leaves the
+//! device (LRU eviction or prefetch displacement), cleared when the chunk
+//! is registered or unregistered. A later fault on a slot with the bit set
+//! is a refault — the thrashing signature of re-touch workloads under
+//! memory pressure.
 
-use crate::page::{ChunkId, Residency};
+use crate::page::ChunkId;
+use std::ops::Range;
 
-/// Reference to one slot: region index + chunk offset within the region.
+/// Reference to one slot: region id + chunk offset within the region.
 /// Doubles as the link type of the intrusive LRU list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotRef {
+pub(crate) struct SlotRef {
     region: u32,
     offset: u32,
 }
@@ -37,26 +50,35 @@ impl SlotRef {
     }
 }
 
+/// Slot state bits.
+const MANAGED: u8 = 1;
+/// Device-resident (on the LRU list); implies `MANAGED`.
+const RESIDENT: u8 = 1 << 1;
+const DIRTY: u8 = 1 << 2;
+/// The refault bit: the chunk has left the device since registration.
+const EVICTED: u8 = 1 << 3;
+/// Scratch mark of a two-pass range walk, clear between operations.
+const PENDING: u8 = 1 << 4;
+
 /// Per-chunk page-table state plus its LRU links. `prev`/`next` are only
 /// meaningful while the chunk is device-resident (on the LRU list).
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    managed: bool,
-    residency: Residency,
-    dirty: bool,
+    flags: u8,
     prev: SlotRef,
     next: SlotRef,
 }
 
 impl Slot {
-    fn fresh() -> Self {
-        Slot {
-            managed: true,
-            residency: Residency::Host,
-            dirty: false,
-            prev: NIL,
-            next: NIL,
-        }
+    /// A freshly registered, host-resident, clean chunk.
+    const FRESH: Slot = Slot {
+        flags: MANAGED,
+        prev: NIL,
+        next: NIL,
+    };
+
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
     }
 }
 
@@ -73,11 +95,53 @@ impl Region {
     }
 }
 
+/// Consecutive slots of one region, yielded as [`SlotRef`]s in address
+/// order.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotRun {
+    region: u32,
+    offsets: Range<u32>,
+}
+
+impl Iterator for SlotRun {
+    type Item = SlotRef;
+
+    fn next(&mut self) -> Option<SlotRef> {
+        let offset = self.offsets.next()?;
+        Some(SlotRef {
+            region: self.region,
+            offset,
+        })
+    }
+}
+
+/// One piece of a chunk range, in address order.
+#[derive(Debug, Clone)]
+pub(crate) enum Span {
+    /// Registered slots of one region.
+    Slots(SlotRun),
+    /// This many chunk ids no region covers.
+    Gap(u64),
+}
+
+/// Cursor of a span walk over a chunk range. It holds no borrow of the
+/// table, so the caller may change slot state between spans — but not the
+/// region layout (only `register_range` does, keeping its cursor in step).
+#[derive(Debug, Clone)]
+pub(crate) struct Spans {
+    /// Position in the address-sorted region index.
+    pos: usize,
+    next: u64,
+    end: u64,
+}
+
 /// The device page table for one managed address space.
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    /// Dense chunk-state regions, sorted by `start`, non-overlapping.
+    /// Dense chunk-state regions by stable id; they never overlap.
     regions: Vec<Region>,
+    /// Region ids sorted by `start`.
+    order: Vec<u32>,
     /// Intrusive LRU list over device-resident slots (head = oldest).
     head: SlotRef,
     tail: SlotRef,
@@ -96,6 +160,7 @@ impl PageTable {
     pub fn new() -> Self {
         PageTable {
             regions: Vec::new(),
+            order: Vec::new(),
             head: NIL,
             tail: NIL,
             managed: 0,
@@ -103,22 +168,61 @@ impl PageTable {
         }
     }
 
-    /// The region containing `chunk`, if any — a binary search over the
-    /// per-buffer regions (a handful), not the chunks.
-    fn find(&self, chunk: ChunkId) -> Option<SlotRef> {
+    fn region(&self, id: u32) -> &Region {
+        &self.regions[id as usize]
+    }
+
+    /// Index into `order` of the first region ending after `idx` — a
+    /// binary search over the per-buffer regions (a handful), not the
+    /// chunks.
+    fn first_ending_after(&self, idx: u64) -> usize {
+        self.order
+            .partition_point(|&id| self.region(id).end() <= idx)
+    }
+
+    /// The slot of `chunk`, if a region covers it (managed or not).
+    pub(crate) fn find(&self, chunk: ChunkId) -> Option<SlotRef> {
         let idx = chunk.index();
-        let r = self.regions.partition_point(|r| r.start <= idx);
-        if r == 0 {
+        let &id = self.order.get(self.first_ending_after(idx))?;
+        let region = self.region(id);
+        (region.start <= idx).then(|| SlotRef {
+            region: id,
+            offset: (idx - region.start) as u32,
+        })
+    }
+
+    /// Starts a span walk over the chunk ids `chunks`.
+    pub(crate) fn spans(&self, chunks: Range<u64>) -> Spans {
+        Spans {
+            pos: self.first_ending_after(chunks.start),
+            next: chunks.start,
+            end: chunks.end,
+        }
+    }
+
+    /// The next span of a walk, `None` once the range is exhausted.
+    pub(crate) fn next_span(&self, walk: &mut Spans) -> Option<Span> {
+        if walk.next >= walk.end {
             return None;
         }
-        let region = &self.regions[r - 1];
-        if idx < region.end() {
-            Some(SlotRef {
-                region: (r - 1) as u32,
-                offset: (idx - region.start) as u32,
-            })
-        } else {
-            None
+        match self.order.get(walk.pos) {
+            Some(&id) if self.region(id).start <= walk.next => {
+                let region = self.region(id);
+                let hi = region.end().min(walk.end);
+                let run = SlotRun {
+                    region: id,
+                    offsets: (walk.next - region.start) as u32..(hi - region.start) as u32,
+                };
+                walk.next = hi;
+                walk.pos += 1;
+                Some(Span::Slots(run))
+            }
+            following => {
+                let hi = following.map_or(walk.end, |&id| self.region(id).start.min(walk.end));
+                let len = hi - walk.next;
+                walk.next = hi;
+                Some(Span::Gap(len))
+            }
         }
     }
 
@@ -131,7 +235,7 @@ impl PageTable {
     }
 
     fn chunk_of(&self, r: SlotRef) -> ChunkId {
-        ChunkId::new(self.regions[r.region as usize].start + r.offset as u64)
+        ChunkId::new(self.region(r.region).start + r.offset as u64)
     }
 
     // ---- intrusive LRU list ----
@@ -171,57 +275,181 @@ impl PageTable {
         self.tail = r;
     }
 
+    // ---- slot API (range walks) ----
+
+    /// Whether the slot's chunk is managed.
+    pub(crate) fn slot_is_managed(&self, r: SlotRef) -> bool {
+        self.slot(r).has(MANAGED)
+    }
+
+    /// Whether the slot's chunk is device-resident.
+    pub(crate) fn slot_is_resident(&self, r: SlotRef) -> bool {
+        self.slot(r).has(RESIDENT)
+    }
+
+    /// The slot's refault bit.
+    pub(crate) fn slot_was_evicted(&self, r: SlotRef) -> bool {
+        self.slot(r).has(EVICTED)
+    }
+
+    /// Records a device access to a managed slot: bumps LRU, marks dirty
+    /// for writes.
+    pub(crate) fn touch_slot(&mut self, r: SlotRef, write: bool) {
+        // Bumping the tail is a no-op, and the common case right after a
+        // fault made the slot resident.
+        if self.slot(r).has(RESIDENT) && self.tail != r {
+            self.lru_unlink(r);
+            self.lru_push_back(r);
+        }
+        if write {
+            self.slot_mut(r).flags |= DIRTY;
+        }
+    }
+
+    /// Marks a slot device-resident (after migration or prefetch) and most
+    /// recently used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot's chunk is not managed.
+    pub(crate) fn make_slot_resident(&mut self, r: SlotRef) {
+        let flags = self.slot(r).flags;
+        assert!(flags & MANAGED != 0, "made unmanaged chunk resident");
+        if flags & RESIDENT != 0 {
+            self.lru_unlink(r);
+        } else {
+            self.slot_mut(r).flags |= RESIDENT;
+            self.resident += 1;
+        }
+        self.lru_push_back(r);
+    }
+
+    /// Clears a slot's dirty bit, returning whether it was set.
+    pub(crate) fn clear_slot_dirty(&mut self, r: SlotRef) -> bool {
+        let s = self.slot_mut(r);
+        let dirty = s.has(DIRTY);
+        s.flags &= !DIRTY;
+        dirty
+    }
+
+    /// Returns a resident slot to the host without writeback — a fresh
+    /// registration that keeps the refault bit set.
+    pub(crate) fn displace_slot(&mut self, r: SlotRef) {
+        debug_assert!(self.slot_is_resident(r), "displaced a host-resident chunk");
+        self.lru_unlink(r);
+        self.resident -= 1;
+        self.slot_mut(r).flags = MANAGED | EVICTED;
+    }
+
+    /// Unregisters a slot (free), returning whether it was dirty on the
+    /// device (needs writeback). Unmanaged slots are a no-op.
+    pub(crate) fn unregister_slot(&mut self, r: SlotRef) -> bool {
+        let flags = self.slot(r).flags;
+        if flags & MANAGED == 0 {
+            return false;
+        }
+        if flags & RESIDENT != 0 {
+            self.lru_unlink(r);
+            self.resident -= 1;
+        }
+        self.managed -= 1;
+        self.slot_mut(r).flags = 0;
+        flags & RESIDENT != 0 && flags & DIRTY != 0
+    }
+
+    /// Sets a slot's scratch mark.
+    pub(crate) fn mark_slot(&mut self, r: SlotRef) {
+        self.slot_mut(r).flags |= PENDING;
+    }
+
+    /// Clears a slot's scratch mark, returning whether it was set.
+    pub(crate) fn take_slot_mark(&mut self, r: SlotRef) -> bool {
+        let s = self.slot_mut(r);
+        let marked = s.has(PENDING);
+        s.flags &= !PENDING;
+        marked
+    }
+
+    // ---- per-chunk and whole-range API ----
+
+    /// Registers the chunk ids `chunks` as managed, initially
+    /// host-resident, in one walk, and returns how many of them were
+    /// device-resident before.
+    ///
+    /// Re-registering existing chunks resets them to host residency (a
+    /// fresh allocation reusing the address range); the rest of the range
+    /// extends the region it is dense-adjacent to, or becomes a new one.
+    pub fn register_range(&mut self, chunks: Range<u64>) -> usize {
+        let mut was_resident = 0;
+        let mut walk = self.spans(chunks);
+        while let Some(span) = self.next_span(&mut walk) {
+            match span {
+                Span::Slots(run) => {
+                    for r in run {
+                        let flags = self.slot(r).flags;
+                        if flags & RESIDENT != 0 {
+                            self.lru_unlink(r);
+                            self.resident -= 1;
+                            was_resident += 1;
+                        }
+                        if flags & MANAGED == 0 {
+                            self.managed += 1;
+                        }
+                        *self.slot_mut(r) = Slot::FRESH;
+                    }
+                }
+                Span::Gap(len) => {
+                    let start = walk.next - len;
+                    let len = len as usize;
+                    // The walk's previous region is the one ending at or
+                    // before the gap.
+                    match walk.pos.checked_sub(1).map(|p| self.order[p]) {
+                        Some(prev) if self.region(prev).end() == start => {
+                            let slots = &mut self.regions[prev as usize].slots;
+                            slots.resize(slots.len() + len, Slot::FRESH);
+                        }
+                        _ => {
+                            self.order.insert(walk.pos, self.regions.len() as u32);
+                            self.regions.push(Region {
+                                start,
+                                slots: vec![Slot::FRESH; len],
+                            });
+                            walk.pos += 1;
+                        }
+                    }
+                    self.managed += len;
+                }
+            }
+        }
+        was_resident
+    }
+
     /// Registers a chunk as managed, initially host-resident.
     ///
     /// Re-registering an existing chunk resets it to host residency (a
     /// fresh allocation reusing the address range).
     pub fn register(&mut self, chunk: ChunkId) {
-        if let Some(r) = self.find(chunk) {
-            let s = *self.slot(r);
-            if s.managed && s.residency == Residency::Device {
-                self.lru_unlink(r);
-                self.resident -= 1;
-            }
-            if !s.managed {
-                self.managed += 1;
-            }
-            *self.slot_mut(r) = Slot::fresh();
-            return;
-        }
-        let idx = chunk.index();
-        // Extend the region this chunk is dense-adjacent to, if any;
-        // managed_alloc registers each buffer's chunks in ascending order,
-        // so this is the common case after the first chunk of a buffer.
-        let at = self.regions.partition_point(|r| r.start <= idx);
-        if at > 0 && self.regions[at - 1].end() == idx {
-            self.regions[at - 1].slots.push(Slot::fresh());
-        } else {
-            self.regions.insert(
-                at,
-                Region {
-                    start: idx,
-                    slots: vec![Slot::fresh()],
-                },
-            );
-        }
-        self.managed += 1;
+        self.register_range(chunk.index()..chunk.index() + 1);
+    }
+
+    fn managed_ref(&self, chunk: ChunkId) -> Option<SlotRef> {
+        self.find(chunk).filter(|&r| self.slot_is_managed(r))
     }
 
     /// Whether the chunk is registered at all.
     pub fn is_managed(&self, chunk: ChunkId) -> bool {
-        self.find(chunk).is_some_and(|r| self.slot(r).managed)
+        self.managed_ref(chunk).is_some()
     }
 
     /// Whether the chunk is resident on the device.
     pub fn is_resident(&self, chunk: ChunkId) -> bool {
-        self.find(chunk).is_some_and(|r| {
-            let s = self.slot(r);
-            s.managed && s.residency == Residency::Device
-        })
+        self.find(chunk).is_some_and(|r| self.slot_is_resident(r))
     }
 
-    fn managed_ref(&self, chunk: ChunkId) -> Option<SlotRef> {
-        self.find(chunk).filter(|&r| self.slot(r).managed)
+    /// Whether the chunk has left the device (LRU eviction or
+    /// displacement) since it was registered: its next fault is a refault.
+    pub fn was_evicted(&self, chunk: ChunkId) -> bool {
+        self.find(chunk).is_some_and(|r| self.slot_was_evicted(r))
     }
 
     /// Records a device access: bumps LRU, marks dirty for writes.
@@ -232,13 +460,7 @@ impl PageTable {
     /// simulator bug, the analogue of a real segfault.
     pub fn touch(&mut self, chunk: ChunkId, write: bool) {
         let r = self.managed_ref(chunk).expect("touched unmanaged chunk");
-        if self.slot(r).residency == Residency::Device {
-            self.lru_unlink(r);
-            self.lru_push_back(r);
-        }
-        if write {
-            self.slot_mut(r).dirty = true;
-        }
+        self.touch_slot(r, write);
     }
 
     /// Marks a chunk device-resident (after migration or prefetch).
@@ -247,16 +469,8 @@ impl PageTable {
     ///
     /// Panics if the chunk is not managed.
     pub fn make_resident(&mut self, chunk: ChunkId) {
-        let r = self
-            .managed_ref(chunk)
-            .expect("made unmanaged chunk resident");
-        if self.slot(r).residency == Residency::Device {
-            self.lru_unlink(r);
-        } else {
-            self.slot_mut(r).residency = Residency::Device;
-            self.resident += 1;
-        }
-        self.lru_push_back(r);
+        let r = self.find(chunk).expect("made unmanaged chunk resident");
+        self.make_slot_resident(r);
     }
 
     /// Clears a chunk's dirty bit after a writeback; residency is kept.
@@ -268,11 +482,12 @@ impl PageTable {
         let r = self
             .managed_ref(chunk)
             .expect("cleared dirty on unmanaged chunk");
-        self.slot_mut(r).dirty = false;
+        self.clear_slot_dirty(r);
     }
 
     /// Evicts the least-recently-used device-resident chunk back to the
     /// host, returning `(chunk, was_dirty)`; `None` if nothing is resident.
+    /// The victim's refault bit is set.
     pub fn evict_lru(&mut self) -> Option<(ChunkId, bool)> {
         let victim = self.head;
         if victim.is_nil() {
@@ -280,31 +495,16 @@ impl PageTable {
         }
         self.lru_unlink(victim);
         self.resident -= 1;
-        let chunk = self.chunk_of(victim);
         let s = self.slot_mut(victim);
-        let dirty = s.dirty;
-        s.residency = Residency::Host;
-        s.dirty = false;
-        Some((chunk, dirty))
+        let dirty = s.has(DIRTY);
+        s.flags = (s.flags & !(RESIDENT | DIRTY)) | EVICTED;
+        Some((self.chunk_of(victim), dirty))
     }
 
     /// Unregisters a chunk (free), returning whether it was dirty on the
     /// device (needs writeback).
     pub fn unregister(&mut self, chunk: ChunkId) -> bool {
-        let Some(r) = self.managed_ref(chunk) else {
-            return false;
-        };
-        let s = *self.slot(r);
-        if s.residency == Residency::Device {
-            self.lru_unlink(r);
-            self.resident -= 1;
-        }
-        self.managed -= 1;
-        let slot = self.slot_mut(r);
-        slot.managed = false;
-        slot.residency = Residency::Host;
-        slot.dirty = false;
-        s.residency == Residency::Device && s.dirty
+        self.find(chunk).is_some_and(|r| self.unregister_slot(r))
     }
 
     /// Number of managed chunks.
@@ -318,12 +518,13 @@ impl PageTable {
     }
 
     /// Chunks that are both device-resident and dirty, in ascending chunk
-    /// order (regions are sorted and dense, so the scan is already sorted).
+    /// order.
     pub fn dirty_resident(&self) -> Vec<ChunkId> {
         let mut v = Vec::new();
-        for region in &self.regions {
+        for &id in &self.order {
+            let region = self.region(id);
             for (off, s) in region.slots.iter().enumerate() {
-                if s.managed && s.residency == Residency::Device && s.dirty {
+                if s.has(RESIDENT) && s.has(DIRTY) {
                     v.push(ChunkId::new(region.start + off as u64));
                 }
             }
@@ -456,6 +657,73 @@ mod tests {
         t.make_resident(c((1 << 26) + 5));
         assert_eq!(t.evict_lru().unwrap().0, c(3), "LRU order spans regions");
         assert_eq!(t.evict_lru().unwrap().0, c((1 << 26) + 5));
+    }
+
+    #[test]
+    fn region_inserted_below_keeps_lru_links_valid() {
+        // A buffer registered below a resident one inserts a region in
+        // front of it; the resident slots' links must still resolve.
+        let mut t = PageTable::new();
+        t.register_range(100..104);
+        for i in 100..104 {
+            t.make_resident(c(i));
+        }
+        t.register_range(0..4);
+        t.make_resident(c(2));
+        let order: Vec<u64> = std::iter::from_fn(|| t.evict_lru())
+            .map(|(chunk, _)| chunk.index())
+            .collect();
+        assert_eq!(order, [100, 101, 102, 103, 2]);
+    }
+
+    #[test]
+    fn register_range_spans_regions_and_gaps() {
+        let mut t = PageTable::new();
+        t.register_range(4..6);
+        t.register_range(10..12);
+        t.make_resident(c(5));
+        t.make_resident(c(10));
+        assert_eq!(t.register_range(0..16), 2, "two resident chunks reset");
+        assert_eq!(t.managed_count(), 16);
+        assert_eq!(t.resident_count(), 0);
+        assert!((0..16).all(|i| t.is_managed(c(i))));
+        assert!(!t.is_managed(c(16)));
+    }
+
+    #[test]
+    fn refault_bit_follows_eviction_and_registration() {
+        let mut t = PageTable::new();
+        t.register_range(0..2);
+        t.make_resident(c(0));
+        assert!(!t.was_evicted(c(0)));
+        t.evict_lru();
+        assert!(t.was_evicted(c(0)));
+        t.make_resident(c(0));
+        assert!(t.was_evicted(c(0)), "the bit survives re-migration");
+        t.register(c(0));
+        assert!(!t.was_evicted(c(0)), "registration clears it");
+        t.make_resident(c(0));
+        t.evict_lru();
+        t.unregister(c(0));
+        assert!(!t.was_evicted(c(0)), "unregistration clears it");
+    }
+
+    #[test]
+    fn spans_split_regions_and_gaps() {
+        let mut t = PageTable::new();
+        t.register_range(2..4);
+        t.register_range(4..5); // adjacent: extends the region
+        t.register_range(8..10);
+        let mut walk = t.spans(0..12);
+        let mut seen = Vec::new();
+        while let Some(span) = t.next_span(&mut walk) {
+            seen.push(match span {
+                Span::Slots(run) => run.map(|r| t.chunk_of(r).index()).collect(),
+                Span::Gap(len) => vec![u64::MAX; len as usize],
+            });
+        }
+        let gap = |n| vec![u64::MAX; n];
+        assert_eq!(seen, [gap(2), vec![2, 3, 4], gap(3), vec![8, 9], gap(2)]);
     }
 
     #[test]

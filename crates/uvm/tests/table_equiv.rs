@@ -2,21 +2,27 @@
 //! [`PageTable`] must be observationally indistinguishable from the
 //! map-based reference implementation it replaced (`HashMap` state +
 //! `BTreeSet<(last_use, chunk)>` LRU index), on random operation
-//! sequences. Driven by the engine's deterministic [`SimRng`] (no
-//! external test dependencies).
+//! sequences — including run-length `register_range` calls that reset,
+//! extend and insert regions around live LRU links, and the per-slot
+//! refault bit, modelled as a `HashSet` of chunks that left the device.
+//! Driven by the engine's deterministic [`SimRng`] (no external test
+//! dependencies).
 
 use hetsim_engine::rng::SimRng;
-use hetsim_uvm::page::{ChunkId, Residency};
+use hetsim_uvm::page::ChunkId;
 use hetsim_uvm::table::PageTable;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The pre-rewrite reference implementation, kept verbatim as the model:
-/// per-chunk state in a `HashMap`, LRU as an ordered `(stamp, chunk)` set.
+/// per-chunk state in a `HashMap`, LRU as an ordered `(stamp, chunk)` set,
+/// plus the refault history the space used to keep beside the table.
 #[derive(Default)]
 struct ModelTable {
-    chunks: HashMap<ChunkId, (Residency, bool, u64)>,
+    /// `(device-resident, dirty, last-use stamp)` per managed chunk.
+    chunks: HashMap<ChunkId, (bool, bool, u64)>,
     lru: BTreeSet<(u64, ChunkId)>,
     clock: u64,
+    evicted: HashSet<ChunkId>,
 }
 
 impl ModelTable {
@@ -25,10 +31,24 @@ impl ModelTable {
         self.clock
     }
 
+    fn register_range(&mut self, first: u64, count: u64) -> usize {
+        let mut was_resident = 0;
+        for i in first..first + count {
+            was_resident += usize::from(self.is_resident(ChunkId::new(i)));
+            self.register(ChunkId::new(i));
+        }
+        was_resident
+    }
+
+    fn was_evicted(&self, chunk: ChunkId) -> bool {
+        self.evicted.contains(&chunk)
+    }
+
     fn register(&mut self, chunk: ChunkId) {
+        self.evicted.remove(&chunk);
         let now = self.tick();
-        if let Some((res, _, stamp)) = self.chunks.insert(chunk, (Residency::Host, false, now)) {
-            if res == Residency::Device {
+        if let Some((res, _, stamp)) = self.chunks.insert(chunk, (false, false, now)) {
+            if res {
                 self.lru.remove(&(stamp, chunk));
             }
         }
@@ -39,15 +59,13 @@ impl ModelTable {
     }
 
     fn is_resident(&self, chunk: ChunkId) -> bool {
-        self.chunks
-            .get(&chunk)
-            .is_some_and(|&(res, _, _)| res == Residency::Device)
+        self.chunks.get(&chunk).is_some_and(|&(res, _, _)| res)
     }
 
     fn touch(&mut self, chunk: ChunkId, write: bool) {
         let now = self.tick();
         let s = self.chunks.get_mut(&chunk).expect("model: unmanaged");
-        if s.0 == Residency::Device {
+        if s.0 {
             self.lru.remove(&(s.2, chunk));
             self.lru.insert((now, chunk));
         }
@@ -60,10 +78,10 @@ impl ModelTable {
     fn make_resident(&mut self, chunk: ChunkId) {
         let now = self.tick();
         let s = self.chunks.get_mut(&chunk).expect("model: unmanaged");
-        if s.0 == Residency::Device {
+        if s.0 {
             self.lru.remove(&(s.2, chunk));
         }
-        s.0 = Residency::Device;
+        s.0 = true;
         s.2 = now;
         self.lru.insert((now, chunk));
     }
@@ -77,14 +95,16 @@ impl ModelTable {
         self.lru.remove(&(stamp, victim));
         let s = self.chunks.get_mut(&victim).expect("victim exists");
         let dirty = s.1;
-        s.0 = Residency::Host;
+        s.0 = false;
         s.1 = false;
+        self.evicted.insert(victim);
         Some((victim, dirty))
     }
 
     fn unregister(&mut self, chunk: ChunkId) -> bool {
+        self.evicted.remove(&chunk);
         match self.chunks.remove(&chunk) {
-            Some((Residency::Device, dirty, stamp)) => {
+            Some((true, dirty, stamp)) => {
                 self.lru.remove(&(stamp, chunk));
                 dirty
             }
@@ -104,7 +124,7 @@ impl ModelTable {
         let mut v: Vec<ChunkId> = self
             .chunks
             .iter()
-            .filter(|(_, &(res, dirty, _))| res == Residency::Device && dirty)
+            .filter(|(_, &(res, dirty, _))| res && dirty)
             .map(|(&c, _)| c)
             .collect();
         v.sort_unstable();
@@ -112,13 +132,18 @@ impl ModelTable {
     }
 }
 
-/// The chunk universe: two dense per-buffer runs far apart in the address
-/// space, mirroring how the runtime lays managed buffers out at
-/// `(i + 1) << 42`.
+/// Bases of two per-buffer runs far apart in the address space, mirroring
+/// how the runtime lays managed buffers out at `(i + 1) << 42`.
+const BASES: [u64; 2] = [8, 1 << 26];
+
+/// The chunk universe: each buffer's 24 chunks plus 8 chunk ids below and
+/// 16 above it, which range registrations reach to insert a region in
+/// front of a live one or extend it.
 fn universe() -> Vec<ChunkId> {
-    let mut v: Vec<ChunkId> = (0..24).map(ChunkId::new).collect();
-    v.extend((0..24).map(|i| ChunkId::new((1 << 26) + i)));
-    v
+    BASES
+        .iter()
+        .flat_map(|&b| (b - 8..b + 40).map(ChunkId::new))
+        .collect()
 }
 
 fn assert_same_observations(real: &PageTable, model: &ModelTable, universe: &[ChunkId], step: u64) {
@@ -148,12 +173,18 @@ fn assert_same_observations(real: &PageTable, model: &ModelTable, universe: &[Ch
             model.is_resident(c),
             "is_resident({c}) @ step {step}"
         );
+        assert_eq!(
+            real.was_evicted(c),
+            model.was_evicted(c),
+            "was_evicted({c}) @ step {step}"
+        );
     }
 }
 
-/// Random register/touch/make_resident/evict/clear_dirty/unregister
-/// sequences produce identical observable behaviour — including the exact
-/// LRU eviction order — on the dense table and the map-based model.
+/// Random register/register_range/touch/make_resident/evict/clear_dirty/
+/// unregister sequences produce identical observable behaviour —
+/// including the exact LRU eviction order and the refault bit — on the
+/// dense table and the map-based model.
 #[test]
 fn dense_table_matches_map_model_on_random_sequences() {
     let universe = universe();
@@ -163,16 +194,27 @@ fn dense_table_matches_map_model_on_random_sequences() {
         let mut model = ModelTable::default();
         // Start from a registered baseline so touch/make_resident have
         // targets; later ops re-register and unregister freely.
-        for &c in &universe {
-            real.register(c);
-            model.register(c);
+        for b in BASES {
+            assert_eq!(real.register_range(b..b + 24), 0);
+            model.register_range(b, 24);
         }
         for step in 0..400u64 {
             let c = universe[rng.below(universe.len() as u64) as usize];
-            match rng.below(12) {
+            match rng.below(13) {
                 0 => {
                     real.register(c);
                     model.register(c);
+                }
+                12 => {
+                    // A run that may reset live chunks, extend a region at
+                    // either end, fill holes or open a region in front.
+                    let first = c.index();
+                    let count = rng.range(1, 20);
+                    assert_eq!(
+                        real.register_range(first..first + count),
+                        model.register_range(first, count),
+                        "register_range({first}, {count}) @ step {step} case {case}"
+                    );
                 }
                 1..=3 => {
                     // Touch only what is managed (unmanaged touches panic
