@@ -25,14 +25,38 @@
 //!
 //! Device-wide, kernels cannot beat HBM: total traffic divided by the
 //! achieved bandwidth of each path bounds the kernel from below.
+//!
+//! # Replay and costing
+//!
+//! An execution has two steps.
+//!
+//! * **Replay** depends only on the kernel and the style: the sampled
+//!   blocks go through the L1/L2 models, leaving per-block pipe traffic,
+//!   the instruction mix and the cache counters.
+//! * **Costing** does the rest: the environment's TLB walk (which
+//!   regenerates the global access stream), tile extrapolation, the
+//!   environment's L2 warming and the pipe model above. It also emits the
+//!   `gpu.blocks` and `gpu.pipeline` trace spans.
+//!
+//! The transfer mode changes how a replay is costed, never what the caches
+//! see, so an executor keeps the replays it has run and reuses them:
+//! `standard`, `uvm` and `uvm_prefetch` share the standard style's replay,
+//! and `async` and `uvm_prefetch_async` share the `cp.async` one. A replay
+//! is keyed by [`KernelModel::replay_key`] (the access stream by content),
+//! the style, the sampled block and tile counts, and the L1 and L2
+//! geometry. Kernels without a key replay on every call. The memo lives in
+//! the executor and its clones, so a fresh executor starts cold.
 
 use crate::config::GpuConfig;
 use crate::kernel::{KernelModel, KernelStyle};
 use hetsim_counters::{CacheCounters, InstClass, InstructionMix, Occupancy};
 use hetsim_engine::time::Nanos;
 use hetsim_mem::addr::{AccessKind, MemAccess, MemSpace};
-use hetsim_mem::cache::Cache;
+use hetsim_mem::cache::{Cache, CacheConfig};
 use hetsim_mem::tlb::{Tlb, TlbConfig};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Environment adjustments imposed by the memory-management mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,11 +141,14 @@ pub struct KernelResult {
 }
 
 /// Executes kernels on a GPU configuration by sampling blocks.
+///
+/// Clones share the replay memo (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct KernelExecutor {
     config: GpuConfig,
     sample_blocks: u64,
     max_sampled_tiles: u64,
+    replays: Arc<ReplayMemo>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -145,6 +172,99 @@ struct BlockAccum {
     control: f64,
 }
 
+/// What replaying a kernel's sampled blocks through the L1/L2 yields:
+/// everything that depends on the kernel and style, nothing that depends
+/// on the environment.
+#[derive(Debug)]
+struct Replay {
+    /// Per sampled block, before translation, tile extrapolation and L2
+    /// warming.
+    blocks: Vec<BlockAccum>,
+    /// Instructions of the sampled tiles, unscaled.
+    inst: InstructionMix,
+    l1: CacheCounters,
+    l2: CacheCounters,
+}
+
+/// How a kernel was replayed: the style, the sampling width and the cache
+/// geometry. With the kernel's [`KernelModel::replay_key`] it identifies a
+/// replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Variant {
+    style: KernelStyle,
+    sample_blocks: u64,
+    sampled_tiles: u64,
+    l1: CacheConfig,
+    l2: CacheConfig,
+}
+
+/// Replays already run by an executor and its clones, by kernel key and
+/// then by variant, so each key is stored once.
+#[derive(Default)]
+struct ReplayMemo(Mutex<Replays>);
+
+type Replays = HashMap<Box<str>, Vec<(Variant, Arc<Replay>)>>;
+
+impl ReplayMemo {
+    fn get(&self, kernel: &str, variant: &Variant) -> Option<Arc<Replay>> {
+        let memo = self.lock();
+        let (_, replay) = memo.get(kernel)?.iter().find(|(v, _)| v == variant)?;
+        Some(replay.clone())
+    }
+
+    /// Stores `replay` unless a concurrent caller got there first; either
+    /// way the two are equal, as replays are deterministic.
+    fn insert(&self, kernel: String, variant: Variant, replay: Replay) -> Arc<Replay> {
+        let mut memo = self.lock();
+        let variants = memo.entry(kernel.into_boxed_str()).or_default();
+        if let Some((_, done)) = variants.iter().find(|(v, _)| *v == variant) {
+            return done.clone();
+        }
+        let replay = Arc::new(replay);
+        variants.push((variant, replay.clone()));
+        replay
+    }
+
+    /// Replays are simulated outside the lock and each update under it is
+    /// one insertion, so a poisoned map is still a valid one.
+    fn lock(&self) -> MutexGuard<'_, Replays> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl fmt::Debug for ReplayMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReplayMemo")
+            .field("kernels", &self.lock().len())
+            .finish()
+    }
+}
+
+/// The caches, instruction mix and current block of one replay.
+struct Replayer {
+    l1: Cache,
+    l2: Cache,
+    inst: InstructionMix,
+    acc: BlockAccum,
+    line: f64,
+}
+
+/// Launch-derived quantities shared by the replay and its costing.
+struct Sampling {
+    grid: u64,
+    samples: u64,
+    tiles: u64,
+    sampled_tiles: u64,
+}
+
+impl Sampling {
+    /// The grid block the `s`-th sample stands for: samples spread across
+    /// the grid.
+    fn block(&self, s: u64) -> u64 {
+        s * self.grid / self.samples
+    }
+}
+
 impl KernelExecutor {
     /// Creates an executor with the default sampling width (6 blocks,
     /// up to 96 tiles per block).
@@ -153,6 +273,7 @@ impl KernelExecutor {
             config,
             sample_blocks: 6,
             max_sampled_tiles: 96,
+            replays: Arc::default(),
         }
     }
 
@@ -191,15 +312,126 @@ impl KernelExecutor {
         style: KernelStyle,
         env: &ExecEnv,
     ) -> KernelResult {
+        let launch = kernel.launch();
+        let tiles = kernel.tiles_per_block().max(1);
+        let sampling = Sampling {
+            grid: launch.grid_blocks,
+            samples: self.sample_blocks.min(launch.grid_blocks),
+            tiles,
+            sampled_tiles: tiles.min(self.max_sampled_tiles),
+        };
+        let replay = self.replay(kernel, style, &sampling);
+        self.cost(kernel, style, env, &sampling, &replay)
+    }
+
+    /// The replay of `kernel` under `style`, from the memo when the kernel
+    /// names its access stream and the memo has it.
+    fn replay(
+        &self,
+        kernel: &dyn KernelModel,
+        style: KernelStyle,
+        sampling: &Sampling,
+    ) -> Arc<Replay> {
+        let Some(id) = kernel.replay_key() else {
+            return Arc::new(self.simulate(kernel, style, sampling));
+        };
+        let variant = Variant {
+            style,
+            sample_blocks: sampling.samples,
+            sampled_tiles: sampling.sampled_tiles,
+            l1: self.config.l1_config(),
+            l2: self.config.l2,
+        };
+        if let Some(replay) = self.replays.get(&id, &variant) {
+            return replay;
+        }
+        let replay = self.simulate(kernel, style, sampling);
+        self.replays.insert(id, variant, replay)
+    }
+
+    /// Replays the sampled blocks of `kernel` through the L1 and L2.
+    fn simulate(
+        &self,
+        kernel: &dyn KernelModel,
+        style: KernelStyle,
+        sampling: &Sampling,
+    ) -> Replay {
+        let cfg = &self.config;
+        let threads = kernel.launch().threads_per_block as f64;
+        let mut blocks = Vec::with_capacity(sampling.samples as usize);
+        let mut r = Replayer {
+            l1: Cache::new(cfg.l1_config()),
+            l2: Cache::new(cfg.l2),
+            inst: InstructionMix::new(),
+            acc: BlockAccum::default(),
+            line: cfg.l1_line as f64,
+        };
+        let mut stream_buf = Vec::new();
+        let mut local_buf = Vec::new();
+
+        for s in 0..sampling.samples {
+            let block = sampling.block(s);
+            r.acc = BlockAccum::default();
+            // Each sampled block starts with a cold L1 (a fresh block on an
+            // SM inherits little) but shares the device-wide L2.
+            r.l1.flush();
+
+            for tile in 0..sampling.sampled_tiles {
+                tile_accesses(kernel, style, block, tile, &mut stream_buf, &mut local_buf);
+                for a in &stream_buf {
+                    r.stream(a, style);
+                }
+                for a in &local_buf {
+                    r.local(a, style);
+                }
+
+                let ops = kernel.tile_ops();
+                r.acc.fp += ops.fp;
+                r.acc.int += ops.int;
+                r.acc.control += ops.control;
+                r.inst.record(InstClass::Fp, ops.fp.round() as u64);
+                r.inst.record(InstClass::Int, ops.int.round() as u64);
+                r.inst
+                    .record(InstClass::Control, ops.control.round() as u64);
+
+                if style == KernelStyle::StagedAsync {
+                    let extra_ctrl = cfg.async_ctrl_per_thread_tile * threads;
+                    let extra_int = cfg.async_int_per_thread_tile * threads;
+                    r.acc.control += extra_ctrl;
+                    r.acc.int += extra_int;
+                    r.inst.record(InstClass::Control, extra_ctrl.round() as u64);
+                    r.inst.record(InstClass::Int, extra_int.round() as u64);
+                }
+            }
+            blocks.push(r.acc);
+        }
+
+        Replay {
+            blocks,
+            inst: r.inst,
+            l1: r.l1.counters(),
+            l2: r.l2.counters(),
+        }
+    }
+
+    /// Costs a replay in environment `env`.
+    fn cost(
+        &self,
+        kernel: &dyn KernelModel,
+        style: KernelStyle,
+        env: &ExecEnv,
+        sampling: &Sampling,
+        replay: &Replay,
+    ) -> KernelResult {
         let cfg = &self.config;
         let launch = kernel.launch();
-        let grid = launch.grid_blocks;
-        let samples = self.sample_blocks.min(grid);
+        let &Sampling {
+            grid,
+            samples,
+            tiles,
+            sampled_tiles,
+        } = sampling;
         let line = cfg.l1_line as f64;
-
-        let mut l1 = Cache::new(cfg.l1_config());
-        let mut l2 = Cache::new(cfg.l2);
-        let mut inst = InstructionMix::new();
         let mut total = BlockAccum::default();
         let mut sum_block_cycles = 0.0;
 
@@ -208,69 +440,25 @@ impl KernelExecutor {
         let resident_eff = (resident as u64).min(waves).max(1) as f64;
         let warps_per_block = launch.warps_per_block(cfg.warp_size) as f64;
         let active_warps = warps_per_block * resident_eff;
-
-        let tiles = kernel.tiles_per_block().max(1);
-        let sampled_tiles = tiles.min(self.max_sampled_tiles);
         let tile_scale = tiles as f64 / sampled_tiles as f64;
         let mut stream_buf = Vec::new();
         let mut local_buf = Vec::new();
 
-        for s in 0..samples {
-            // Spread sampled blocks across the grid.
-            let block = s * grid / samples;
-            let mut acc = BlockAccum::default();
-            // Each sampled block starts with a cold L1 (a fresh block on an
-            // SM inherits little) but shares the device-wide L2.
-            l1.flush();
+        for (s, raw) in (0..samples).zip(&replay.blocks) {
+            let block = sampling.block(s);
+            let mut acc = *raw;
 
-            let mut tlb = env.tlb.map(Tlb::new);
-
-            for tile in 0..sampled_tiles {
-                stream_buf.clear();
-                local_buf.clear();
-                if style.is_staged() {
-                    kernel.staged_stream_accesses(block, tile, &mut stream_buf);
-                } else {
-                    kernel.stream_accesses(block, tile, &mut stream_buf);
-                }
-                kernel.local_accesses(block, tile, &mut local_buf);
-
-                if let Some(tlb) = tlb.as_mut() {
-                    // Every global access translates, cp.async included.
+            if let Some(tlb_config) = env.tlb {
+                // Every global access translates, cp.async included.
+                let mut tlb = Tlb::new(tlb_config);
+                for tile in 0..sampled_tiles {
+                    tile_accesses(kernel, style, block, tile, &mut stream_buf, &mut local_buf);
                     for a in stream_buf.iter().chain(local_buf.iter()) {
                         if a.space == MemSpace::Global {
                             tlb.access(a.addr);
                         }
                     }
                 }
-
-                for a in &stream_buf {
-                    self.replay_stream(a, style, &mut l1, &mut l2, &mut acc, &mut inst, line);
-                }
-                for a in &local_buf {
-                    self.replay_local(a, style, &mut l1, &mut l2, &mut acc, &mut inst, line);
-                }
-
-                let ops = kernel.tile_ops();
-                acc.fp += ops.fp;
-                acc.int += ops.int;
-                acc.control += ops.control;
-                inst.record(InstClass::Fp, ops.fp.round() as u64);
-                inst.record(InstClass::Int, ops.int.round() as u64);
-                inst.record(InstClass::Control, ops.control.round() as u64);
-
-                if style == KernelStyle::StagedAsync {
-                    let extra_ctrl =
-                        cfg.async_ctrl_per_thread_tile * launch.threads_per_block as f64;
-                    let extra_int = cfg.async_int_per_thread_tile * launch.threads_per_block as f64;
-                    acc.control += extra_ctrl;
-                    acc.int += extra_int;
-                    inst.record(InstClass::Control, extra_ctrl.round() as u64);
-                    inst.record(InstClass::Int, extra_int.round() as u64);
-                }
-            }
-
-            if let Some(tlb) = tlb.as_ref() {
                 acc.tlb_walk_cycles = tlb.walk_cycles();
                 acc.tlb_misses = tlb.misses() as f64;
             }
@@ -288,8 +476,7 @@ impl KernelExecutor {
                 acc.stream_l2_bytes += warm;
             }
 
-            let block_cycles =
-                self.block_cycles(&acc, style, env, tiles, active_warps, resident_eff, line);
+            let block_cycles = self.block_cycles(&acc, style, env, tiles, active_warps, line);
             sum_block_cycles += block_cycles;
             if hetsim_trace::session::enabled() {
                 let dur = cfg.clock.cycles_f64_to_nanos(block_cycles).as_nanos();
@@ -343,8 +530,7 @@ impl KernelExecutor {
             cfg.carveout.shared_bytes(),
         );
 
-        let l1 = l1.counters();
-        let l2 = l2.counters();
+        let (l1, l2) = (replay.l1, replay.l2);
         hetsim_trace::session::with(|b| {
             b.counter("gpu.l1_load_miss_rate", l1.load_miss_rate());
             b.counter("gpu.l2_load_miss_rate", l2.load_miss_rate());
@@ -355,7 +541,7 @@ impl KernelExecutor {
         KernelResult {
             time: cfg.clock.cycles_f64_to_nanos(cycles),
             cycles,
-            inst: inst.scale(inst_scale),
+            inst: replay.inst.scale(inst_scale),
             l1,
             l2,
             hbm_load_bytes: (scale * (total.stream_hbm_bytes + total.local_hbm_load_bytes)).round()
@@ -366,104 +552,6 @@ impl KernelExecutor {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn replay_stream(
-        &self,
-        a: &MemAccess,
-        style: KernelStyle,
-        l1: &mut Cache,
-        l2: &mut Cache,
-        acc: &mut BlockAccum,
-        inst: &mut InstructionMix,
-        line: f64,
-    ) {
-        inst.record(InstClass::MemLoad, 1);
-        match style {
-            KernelStyle::StagedAsync => {
-                // cp.async: bypass L1 and the register file entirely.
-                if l2.access(a.addr, AccessKind::Load) {
-                    acc.stream_l2_bytes += line;
-                } else {
-                    acc.stream_hbm_bytes += line;
-                }
-                // Data lands in shared memory and is read back by compute.
-                acc.shared_bytes += 2.0 * line;
-            }
-            KernelStyle::StagedSync => {
-                // ld.global -> register -> st.shared.
-                if !l1.access(a.addr, AccessKind::Load) {
-                    if l2.access(a.addr, AccessKind::Load) {
-                        acc.stream_l2_bytes += line;
-                    } else {
-                        acc.stream_hbm_bytes += line;
-                    }
-                }
-                acc.stream_l1_accesses += 1.0;
-                acc.shared_bytes += 2.0 * line;
-                inst.record(InstClass::MemStore, 1); // st.shared
-            }
-            KernelStyle::Direct => {
-                if !l1.access(a.addr, AccessKind::Load) {
-                    if l2.access(a.addr, AccessKind::Load) {
-                        acc.stream_l2_bytes += line;
-                    } else {
-                        acc.stream_hbm_bytes += line;
-                    }
-                }
-                acc.stream_l1_accesses += 1.0;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn replay_local(
-        &self,
-        a: &MemAccess,
-        style: KernelStyle,
-        l1: &mut Cache,
-        l2: &mut Cache,
-        acc: &mut BlockAccum,
-        inst: &mut InstructionMix,
-        line: f64,
-    ) {
-        let staged = style.is_staged();
-        match a.kind {
-            AccessKind::Load => {
-                inst.record(InstClass::MemLoad, 1);
-                if staged || a.space == MemSpace::Shared {
-                    // Re-referenced data was staged: serve from shared memory.
-                    acc.shared_bytes += line;
-                } else if !l1.access(a.addr, AccessKind::Load) {
-                    if l2.access(a.addr, AccessKind::Load) {
-                        acc.local_l2_bytes += line;
-                    } else {
-                        acc.local_hbm_load_bytes += line;
-                    }
-                    acc.local_l1_accesses += 1.0;
-                } else {
-                    acc.local_l1_accesses += 1.0;
-                }
-            }
-            AccessKind::Store => {
-                inst.record(InstClass::MemStore, 1);
-                if a.space == MemSpace::Shared {
-                    acc.shared_bytes += line;
-                    return;
-                }
-                // Output stores always go to global memory.
-                if !l1.access(a.addr, AccessKind::Store) {
-                    if !l2.access(a.addr, AccessKind::Store) {
-                        acc.hbm_store_bytes += line;
-                    } else {
-                        acc.local_l2_bytes += line;
-                    }
-                }
-                acc.local_l1_accesses += 1.0;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn block_cycles(
         &self,
         acc: &BlockAccum,
@@ -471,11 +559,9 @@ impl KernelExecutor {
         env: &ExecEnv,
         tiles: u64,
         active_warps: f64,
-        resident_eff: f64,
         line: f64,
     ) -> f64 {
         let cfg = &self.config;
-        let _ = resident_eff;
 
         // Fetch pipe.
         let fetch = match style {
@@ -558,6 +644,108 @@ impl KernelExecutor {
         let walks = acc.tlb_walk_cycles / active_warps.max(1.0);
         base + walks + cfg.block_overhead_cycles
     }
+}
+
+impl Replayer {
+    /// Fetches one line of the streaming input.
+    fn stream(&mut self, a: &MemAccess, style: KernelStyle) {
+        let (acc, line) = (&mut self.acc, self.line);
+        self.inst.record(InstClass::MemLoad, 1);
+        match style {
+            KernelStyle::StagedAsync => {
+                // cp.async: bypass L1 and the register file entirely.
+                if self.l2.access(a.addr, AccessKind::Load) {
+                    acc.stream_l2_bytes += line;
+                } else {
+                    acc.stream_hbm_bytes += line;
+                }
+                // Data lands in shared memory and is read back by compute.
+                acc.shared_bytes += 2.0 * line;
+            }
+            KernelStyle::StagedSync => {
+                // ld.global -> register -> st.shared.
+                if !self.l1.access(a.addr, AccessKind::Load) {
+                    if self.l2.access(a.addr, AccessKind::Load) {
+                        acc.stream_l2_bytes += line;
+                    } else {
+                        acc.stream_hbm_bytes += line;
+                    }
+                }
+                acc.stream_l1_accesses += 1.0;
+                acc.shared_bytes += 2.0 * line;
+                self.inst.record(InstClass::MemStore, 1); // st.shared
+            }
+            KernelStyle::Direct => {
+                if !self.l1.access(a.addr, AccessKind::Load) {
+                    if self.l2.access(a.addr, AccessKind::Load) {
+                        acc.stream_l2_bytes += line;
+                    } else {
+                        acc.stream_hbm_bytes += line;
+                    }
+                }
+                acc.stream_l1_accesses += 1.0;
+            }
+        }
+    }
+
+    /// Performs one re-referenced access or output store.
+    fn local(&mut self, a: &MemAccess, style: KernelStyle) {
+        let (acc, line) = (&mut self.acc, self.line);
+        let staged = style.is_staged();
+        match a.kind {
+            AccessKind::Load => {
+                self.inst.record(InstClass::MemLoad, 1);
+                if staged || a.space == MemSpace::Shared {
+                    // Re-referenced data was staged: serve from shared memory.
+                    acc.shared_bytes += line;
+                } else if !self.l1.access(a.addr, AccessKind::Load) {
+                    if self.l2.access(a.addr, AccessKind::Load) {
+                        acc.local_l2_bytes += line;
+                    } else {
+                        acc.local_hbm_load_bytes += line;
+                    }
+                    acc.local_l1_accesses += 1.0;
+                } else {
+                    acc.local_l1_accesses += 1.0;
+                }
+            }
+            AccessKind::Store => {
+                self.inst.record(InstClass::MemStore, 1);
+                if a.space == MemSpace::Shared {
+                    acc.shared_bytes += line;
+                    return;
+                }
+                // Output stores always go to global memory.
+                if !self.l1.access(a.addr, AccessKind::Store) {
+                    if !self.l2.access(a.addr, AccessKind::Store) {
+                        acc.hbm_store_bytes += line;
+                    } else {
+                        acc.local_l2_bytes += line;
+                    }
+                }
+                acc.local_l1_accesses += 1.0;
+            }
+        }
+    }
+}
+
+/// Regenerates one tile's streaming and local accesses into the buffers.
+fn tile_accesses(
+    kernel: &dyn KernelModel,
+    style: KernelStyle,
+    block: u64,
+    tile: u64,
+    stream: &mut Vec<MemAccess>,
+    local: &mut Vec<MemAccess>,
+) {
+    stream.clear();
+    local.clear();
+    if style.is_staged() {
+        kernel.staged_stream_accesses(block, tile, stream);
+    } else {
+        kernel.stream_accesses(block, tile, stream);
+    }
+    kernel.local_accesses(block, tile, local);
 }
 
 impl BlockAccum {

@@ -159,6 +159,15 @@ pub trait KernelModel {
         KernelStyle::Direct
     }
 
+    /// Identifies this kernel's access streams by content, so executors
+    /// may reuse one cache replay for every call that shares it: two
+    /// kernels with the same key must emit the same accesses and tile
+    /// budgets for every `(block, tile)`, and have the same launch
+    /// geometry. `None`, the default, means every call replays afresh.
+    fn replay_key(&self) -> Option<String> {
+        None
+    }
+
     /// How many times the application launches this kernel (iterative
     /// solvers, diagonal sweeps, training epochs). The runtime multiplies
     /// kernel time and instruction counts; UVM faults only strike the

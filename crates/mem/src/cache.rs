@@ -5,6 +5,11 @@
 //! memory) and another the device-wide L2. The model is functional, not
 //! cycle-accurate: it classifies each access as hit or miss and maintains
 //! the [`CacheCounters`] behind the paper's Fig 10.
+//!
+//! Sets are rows of line numbers kept in most-recently-used-first order,
+//! and row storage grows with the sets an access stream touches, not with
+//! the capacity: a 40 MB L2 that a kernel sample touches in a few hundred
+//! sets holds a few hundred rows.
 
 use crate::addr::{AccessKind, Addr};
 use hetsim_counters::CacheCounters;
@@ -47,14 +52,19 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LineState {
-    tag: u64,
-    last_use: u64,
-    dirty: bool,
-}
+/// Rows allocated at a time.
+const ROWS_PER_CHUNK: usize = 64;
 
 /// A set-associative LRU cache.
+///
+/// Each set is a row of line numbers in most-recently-used-first order, so
+/// a hit moves its line to the front and a miss evicts the row's last
+/// line: exact LRU without a use clock. Rows are allocated, a chunk of
+/// rows at a time, only for the sets an access stream actually touches,
+/// found through a set-to-row index of four bytes per set. The line
+/// number comes from a shift and the set from one division (a mask when
+/// the set count is a power of two). The full line number is stored as
+/// the tag, since the set index is a function of it.
 ///
 /// # Example
 ///
@@ -70,18 +80,33 @@ struct LineState {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<LineState>>,
-    clock: u64,
+    /// One plus the row of each set; zero for a set never touched.
+    row_of: Vec<u32>,
+    /// Line numbers, `ways` per row, most recently used first, in chunks
+    /// of [`ROWS_PER_CHUNK`] rows: storage grows a chunk at a time and is
+    /// never copied.
+    chunks: Vec<Box<[u64]>>,
+    /// Valid lines per row (a prefix of the row); as wide as
+    /// [`CacheConfig::ways`], so any associativity fits.
+    fill: Vec<u32>,
+    ways: usize,
+    sets: u64,
+    line_shift: u32,
     counters: CacheCounters,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.ways as usize); config.sets() as usize],
-            clock: 0,
+            row_of: vec![0; sets as usize],
+            chunks: Vec::new(),
+            fill: Vec::new(),
+            ways: config.ways as usize,
+            sets,
+            line_shift: config.line.trailing_zeros(),
             counters: CacheCounters::new(),
         }
     }
@@ -91,39 +116,60 @@ impl Cache {
         self.config
     }
 
+    /// Line number and set index of `addr`.
+    fn locate(&self, addr: Addr) -> (u64, usize) {
+        let line_no = addr.as_u64() >> self.line_shift;
+        let set = if self.sets.is_power_of_two() {
+            line_no & (self.sets - 1)
+        } else {
+            line_no % self.sets
+        };
+        (line_no, set as usize)
+    }
+
     /// Performs one access; returns `true` on hit.
     ///
-    /// Misses allocate (write-allocate policy); stores mark the line dirty.
+    /// Misses allocate (write-allocate policy) and evict the least
+    /// recently used line of a full set. Loads and stores differ only in
+    /// which counters they bump.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> bool {
-        self.clock += 1;
-        let line_no = addr.block(self.config.line);
-        let set_idx = (line_no % self.config.sets()) as usize;
-        let tag = line_no / self.config.sets();
-        let set = &mut self.sets[set_idx];
+        let (line_no, set) = self.locate(addr);
+        if self.row_of[set] == 0 {
+            let rows = self.fill.len();
+            self.row_of[set] = u32::try_from(rows + 1).expect("under 2^32 touched sets");
+            self.fill.push(0);
+            if rows.is_multiple_of(ROWS_PER_CHUNK) {
+                // A cache with fewer sets than a chunk needs only its sets.
+                let chunk_rows = ROWS_PER_CHUNK.min(self.row_of.len());
+                self.chunks
+                    .push(vec![0; chunk_rows * self.ways].into_boxed_slice());
+            }
+        }
+        let row = self.row_of[set] as usize - 1;
+        let ways = self.ways;
+        let at = row % ROWS_PER_CHUNK * ways;
+        let lines = &mut self.chunks[row / ROWS_PER_CHUNK][at..at + ways];
+        let fill = &mut self.fill[row];
+        let filled = *fill as usize;
 
-        let hit = if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.last_use = self.clock;
-            if !kind.is_load() {
-                line.dirty = true;
+        let hit = match lines[..filled].iter().position(|&l| l == line_no) {
+            Some(i) => {
+                lines[..=i].rotate_right(1);
+                true
             }
-            true
-        } else {
-            let new_line = LineState {
-                tag,
-                last_use: self.clock,
-                dirty: !kind.is_load(),
-            };
-            if set.len() < self.config.ways as usize {
-                set.push(new_line);
-            } else {
-                // Evict the least recently used way.
-                let victim = set
-                    .iter_mut()
-                    .min_by_key(|l| l.last_use)
-                    .expect("non-empty full set");
-                *victim = new_line;
+            None => {
+                let n = if filled < ways {
+                    *fill += 1;
+                    filled + 1
+                } else {
+                    filled
+                };
+                // The last line of a full row is the least recently used:
+                // the rotation drops it off the end.
+                lines[..n].rotate_right(1);
+                lines[0] = line_no;
+                false
             }
-            false
         };
 
         match kind {
@@ -136,15 +182,17 @@ impl Cache {
     /// Probes whether `addr` is resident without touching LRU state or
     /// counters.
     pub fn contains(&self, addr: Addr) -> bool {
-        let line_no = addr.block(self.config.line);
-        let set_idx = (line_no % self.config.sets()) as usize;
-        let tag = line_no / self.config.sets();
-        self.sets[set_idx].iter().any(|l| l.tag == tag)
+        let (line_no, set) = self.locate(addr);
+        let Some(row) = (self.row_of[set] as usize).checked_sub(1) else {
+            return false;
+        };
+        let at = row % ROWS_PER_CHUNK * self.ways;
+        self.chunks[row / ROWS_PER_CHUNK][at..at + self.fill[row] as usize].contains(&line_no)
     }
 
     /// Number of currently resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&f| f as usize).sum()
     }
 
     /// Accumulated hit/miss counters.
@@ -153,10 +201,10 @@ impl Cache {
     }
 
     /// Empties the cache (e.g. between kernels) without resetting counters.
+    ///
+    /// Touched sets keep their rows, so refilling them allocates nothing.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.fill.fill(0);
     }
 
     /// Resets the counters without touching residency.
@@ -255,6 +303,35 @@ mod tests {
             c.access(Addr::new(i * 64), AccessKind::Load);
         }
         assert!(c.resident_lines() <= 8, "512B / 64B lines = 8 lines max");
+    }
+
+    #[test]
+    fn wide_rows_count_every_way() {
+        // One fully associative set of 300 ways: more than a byte counts.
+        let ways = 300u64;
+        let mut c = Cache::new(CacheConfig::new(ways * 64, 64, ways as u32));
+        for i in 0..ways {
+            assert!(!c.access(Addr::new(i * 64), AccessKind::Load));
+        }
+        assert_eq!(c.resident_lines(), ways as usize);
+        assert!(c.contains(Addr::new(0)), "the set holds every way");
+        assert!(!c.access(Addr::new(ways * 64), AccessKind::Load));
+        assert!(!c.contains(Addr::new(0)), "the oldest line is evicted");
+        assert_eq!(c.resident_lines(), ways as usize);
+    }
+
+    #[test]
+    fn storage_follows_touched_sets() {
+        // A 40 MB, 20480-set L2 touched in two sets holds two rows.
+        let mut c = Cache::new(CacheConfig::new(40 << 20, 128, 16));
+        c.access(Addr::new(0), AccessKind::Load);
+        c.access(Addr::new(128), AccessKind::Store);
+        c.access(Addr::new(20480 * 128), AccessKind::Load);
+        assert_eq!(c.fill.len(), 2);
+        assert_eq!(c.chunks.len(), 1);
+        c.flush();
+        c.access(Addr::new(0), AccessKind::Load);
+        assert_eq!(c.fill.len(), 2, "flushed sets keep their rows");
     }
 
     #[test]

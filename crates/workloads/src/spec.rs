@@ -283,6 +283,11 @@ impl KernelModel for KernelSpec {
     fn invocations(&self) -> u64 {
         self.invocations
     }
+
+    /// Every field, so any change to the streams changes the key.
+    fn replay_key(&self) -> Option<String> {
+        Some(format!("{self:?}"))
+    }
 }
 
 /// A complete workload: buffers + kernel sequence, with a name.

@@ -25,6 +25,12 @@ HETSIM_THREADS=1 cargo test --workspace -q
 echo "==> cargo test (HETSIM_THREADS=4, parallel sweep executor)"
 HETSIM_THREADS=4 cargo test --workspace -q
 
+echo "==> benchmark crate tests (smoke run, seed-42 golden digests)"
+# The benchmark is a separate workspace; its tests pin every workload's
+# seed-42 smoke-size output digest, so a change to simulator output
+# fails here.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> spec sanitizer gate (hetsim check --all --deny warnings)"
 ./target/release/hetsim-cli check --all --deny warnings --format json > /dev/null
 ./target/release/hetsim-cli check --all --deny warnings
