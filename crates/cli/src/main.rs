@@ -607,12 +607,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Under `--self-profile`, one stderr line with the memo layer's
-/// bookkeeping overhead after a figure grid: wall time spent in
-/// `get_or_compute` that was not spent simulating. This is the number
-/// ROADMAP's sweep-throughput item asks to track (threads=4 slower than
-/// serial on 1-core hosts), recorded per PR by `scripts/bench.sh`.
-fn report_memo_profile(exp: &Experiment, args: &Args) {
+/// Under `--self-profile`, two stderr lines after a figure grid: the memo
+/// layer's bookkeeping overhead (wall time spent in `get_or_compute` that
+/// was not spent simulating), recorded per PR by `scripts/bench.sh`; and
+/// the grid's in-process wall time (`grid`, measured around the figure
+/// computation), which the cold-vs-warm cache gates compare so process
+/// start-up does not dilute them.
+fn report_memo_profile(exp: &Experiment, args: &Args, grid: std::time::Duration) {
     if !args.self_profile {
         return;
     }
@@ -624,6 +625,7 @@ fn report_memo_profile(exp: &Experiment, args: &Args) {
         stats.computes,
         stats.compute_ns as f64 / 1e6,
     );
+    eprintln!("self-profile: grid wall {:.3} ms", grid.as_secs_f64() * 1e3);
 }
 
 /// Under `--self-profile`, one stderr line with the five-mode trace
@@ -1157,23 +1159,27 @@ fn write_trace(trace: &hetsim_trace::Trace, path: &str) -> Result<(), String> {
 fn cmd_micro(args: &Args) -> Result<(), String> {
     verify_specs(args, None)?;
     let exp = experiment(args);
+    let t = std::time::Instant::now();
     let s = figures::fig7(&exp, args.size);
+    let grid = t.elapsed();
     println!("Fig 7: microbenchmarks @ {}", args.size);
     emit(&s.to_table(), args.csv);
     emit(&Headline::from_suite(&s).to_table(), args.csv);
-    report_memo_profile(&exp, args);
+    report_memo_profile(&exp, args, grid);
     Ok(())
 }
 
 fn cmd_apps(args: &Args) -> Result<(), String> {
     verify_specs(args, None)?;
     let exp = experiment(args);
+    let t = std::time::Instant::now();
     let s = figures::fig8_at(&exp, args.size);
+    let grid = t.elapsed();
     println!("Fig 8: applications @ {}", args.size);
     emit(&s.to_table(), args.csv);
     emit(&Headline::from_suite(&s).to_table(), args.csv);
     emit(&Section6::from_suite(&s).to_table(), args.csv);
-    report_memo_profile(&exp, args);
+    report_memo_profile(&exp, args, grid);
     Ok(())
 }
 

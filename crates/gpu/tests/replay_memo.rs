@@ -22,11 +22,7 @@ use std::sync::Barrier;
 /// with a partly warmed L2.
 fn mode_runs(standard: KernelStyle) -> [(KernelStyle, ExecEnv); 5] {
     let uvm = ExecEnv::new(1.3, 0.0).with_tlb(TlbConfig::a100_uvm());
-    let prefetch = ExecEnv::new(1.1, 0.4).with_tlb(TlbConfig {
-        page_bytes: 2 << 20,
-        walk_cycles: 200.0,
-        ..TlbConfig::a100_uvm()
-    });
+    let prefetch = ExecEnv::new(1.1, 0.4).with_tlb(TlbConfig::a100_uvm_coalesced());
     [
         (standard, ExecEnv::standard()),
         (KernelStyle::StagedAsync, ExecEnv::standard()),

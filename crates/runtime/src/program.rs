@@ -120,8 +120,8 @@ impl fmt::Display for BufferSpec {
 /// One access of a kernel's chunk-granular page-touch sequence, in
 /// temporal order.
 ///
-/// Produced by [`GpuProgram::page_touches`]; the runtime resolves the
-/// buffer-relative chunk index against the buffer's base address and
+/// Streamed by [`GpuProgram::for_each_page_touch`]; the runtime resolves
+/// the buffer-relative chunk index against the buffer's base address and
 /// replays the sequence through the UVM fault batcher, so the *order* of
 /// touches — not just their footprint — decides batching, speculation,
 /// and thrashing behaviour.
@@ -141,6 +141,11 @@ pub struct PageTouch {
 /// Implemented by every workload in `hetsim-workloads`. The runtime derives
 /// everything else — transfers, faults, prefetches, kernel styles — from
 /// this description plus the chosen [`TransferMode`](crate::TransferMode).
+///
+/// A program implements `name`, `buffers` and `kernels`, and may override
+/// `prefetch_conflict`. One with a temporal touch model also implements
+/// [`GpuProgram::for_each_page_touch`]; the other methods are derived and
+/// not meant to be overridden.
 ///
 /// `Sync` is a supertrait so a single program description can be shared by
 /// reference across the worker threads of a parallel sweep (programs are
@@ -168,23 +173,46 @@ pub trait GpuProgram: Sync {
         self.buffers().iter().map(|b| b.bytes).sum()
     }
 
-    /// The chunk-granular page-touch sequence of `kernel`'s `invocation`-th
-    /// launch, or `None` when the program has no temporal touch model (the
-    /// runtime then falls back to address-ordered range touching) or the
-    /// model stops producing rounds (later invocations re-touch resident
-    /// data and add nothing).
+    /// Streams the chunk-granular page-touch sequence of `kernel`'s
+    /// `invocation`-th launch into `sink`, in temporal order. This is the
+    /// method a program with a temporal touch model implements; the
+    /// runtime and the sanitizer consume the stream touch by touch, so a
+    /// round is never materialized.
+    ///
+    /// Returns `true` for a round that exists — even one that emits no
+    /// touch — and `false`, emitting nothing, when the program has no
+    /// temporal touch model (the runtime then falls back to
+    /// address-ordered range touching) or the model has converged (later
+    /// invocations re-touch resident data and add nothing). The default
+    /// returns `false`.
     ///
     /// Implementations must be deterministic: the same
-    /// `(kernel, invocation, chunk_size)` triple must always return the
-    /// same sequence, so runs stay reproducible and tracing stays a pure
+    /// `(kernel, invocation, chunk_size)` triple must always emit the same
+    /// sequence, so runs stay reproducible and tracing stays a pure
     /// observer.
-    fn page_touches(
+    fn for_each_page_touch(
         &self,
         _kernel: usize,
         _invocation: u64,
         _chunk_size: u64,
+        _sink: &mut dyn FnMut(PageTouch),
+    ) -> bool {
+        false
+    }
+
+    /// The sequence [`GpuProgram::for_each_page_touch`] streams, collected:
+    /// `None` where it returns `false`. A convenience for callers that
+    /// need the whole round at once; implement `for_each_page_touch`
+    /// instead of overriding this.
+    fn page_touches(
+        &self,
+        kernel: usize,
+        invocation: u64,
+        chunk_size: u64,
     ) -> Option<Vec<PageTouch>> {
-        None
+        let mut touches = Vec::new();
+        self.for_each_page_touch(kernel, invocation, chunk_size, &mut |t| touches.push(t))
+            .then_some(touches)
     }
 
     /// A structural fingerprint suitable as a memoization key for base
@@ -197,7 +225,7 @@ pub trait GpuProgram: Sync {
     /// key also captures every buffer spec and every kernel's launch
     /// config, tile counts, arithmetic budget, access regularity, style,
     /// and invocation count, plus the program-level prefetch-conflict
-    /// factor. `page_touches` is fully determined by the kernel structure
+    /// factor. The touch stream is fully determined by the kernel structure
     /// for every workload in the suite, so it needs no separate encoding.
     fn memo_key(&self) -> String {
         use std::fmt::Write as _;

@@ -3,7 +3,7 @@
 
 use crate::device::Device;
 use crate::mode::TransferMode;
-use crate::program::{BufferSpec, GpuProgram, PageTouch};
+use crate::program::{BufferRole, BufferSpec, GpuProgram};
 use crate::report::RunReport;
 use hetsim_chaos::{ChaosCtx, ChaosReport, FaultPlan, RecoveryPolicy, SimError};
 use hetsim_counters::{CounterSet, Occupancy};
@@ -15,6 +15,7 @@ use hetsim_mem::link::LinkPath;
 use hetsim_trace::{Category, Dim};
 use hetsim_uvm::prefetch::PrefetchModel;
 use hetsim_uvm::space::UvmSpace;
+use hetsim_uvm::{ChunkId, ChunkTouch};
 use std::borrow::Cow;
 
 /// Sets one ambient label dimension on the active trace session: every
@@ -63,37 +64,9 @@ fn trace_phase(cat: Category, name: impl Into<Cow<'static, str>>, dur: Nanos) {
 
 /// Upper bound on the number of per-kernel invocation rounds replayed
 /// through the temporal touch path. Touch models signal convergence by
-/// returning `None` well before this; the cap only bounds pathological
+/// returning `false` well before this; the cap only bounds pathological
 /// models.
 const MAX_SEQUENCED_ROUNDS: u64 = 64;
-
-/// Resolves buffer-relative [`PageTouch`]es into absolute [`ChunkTouch`]es
-/// against the run's buffer layout. Touches on `Scratch` buffers are
-/// dropped (device-only memory never far-faults against the host) and
-/// chunk indices are clamped into the buffer's chunk count.
-fn resolve_touches(
-    touches: &[PageTouch],
-    buffers: &[BufferSpec],
-    bases: &[Addr],
-    chunk_size: u64,
-) -> Vec<hetsim_uvm::ChunkTouch> {
-    use hetsim_uvm::page::ChunkId;
-    let mut seq = Vec::with_capacity(touches.len());
-    for t in touches {
-        let b = &buffers[t.buffer];
-        if matches!(b.role, crate::program::BufferRole::Scratch) {
-            continue;
-        }
-        let nchunks = b.bytes.div_ceil(chunk_size).max(1);
-        let idx = t.chunk % nchunks;
-        seq.push(hetsim_uvm::ChunkTouch {
-            chunk: ChunkId::new(bases[t.buffer].as_u64() / chunk_size + idx),
-            write: t.write,
-            host_backed: b.role.is_input(),
-        });
-    }
-    seq
-}
 
 /// Runs programs on a simulated device.
 ///
@@ -196,8 +169,9 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if the program has no kernels; the fallible path returns
-    /// [`SimError::InvalidProgram`] instead.
+    /// Panics if the program has no kernels or, under a UVM mode, its
+    /// touch model names a buffer it does not have; the fallible path
+    /// returns [`SimError::InvalidProgram`] instead, with the same message.
     pub fn run_base(&self, program: &dyn GpuProgram, mode: TransferMode) -> RunReport {
         let mut ctx = ChaosCtx::inert();
         self.base_pipeline(program, mode, &mut ctx)
@@ -218,7 +192,8 @@ impl Runner {
     /// # Errors
     ///
     /// [`SimError::InvalidPlan`] for impossible plans (checked up front),
-    /// [`SimError::InvalidProgram`] for kernel-less programs, and the
+    /// [`SimError::InvalidProgram`] for kernel-less programs and for touch
+    /// models naming a buffer index past [`GpuProgram::buffers`], and the
     /// recovery-budget errors ([`SimError::RetryExhausted`],
     /// [`SimError::ReplayExhausted`], [`SimError::PinnedAllocFailed`])
     /// when faults outlast the policy.
@@ -529,11 +504,7 @@ impl Runner {
         // demand-migrated runs walk 64 KB mappings; prefetched ranges
         // coalesce into 2 MB mappings with cheap cached walks.
         let tlb = if mode.uses_prefetch() {
-            hetsim_mem::tlb::TlbConfig {
-                page_bytes: 2 << 20,
-                walk_cycles: 200.0,
-                ..hetsim_mem::tlb::TlbConfig::a100_uvm()
-            }
+            hetsim_mem::tlb::TlbConfig::a100_uvm_coalesced()
         } else {
             hetsim_mem::tlb::TlbConfig::a100_uvm()
         };
@@ -617,12 +588,43 @@ impl Runner {
             );
             let mut sequenced = false;
             for inv in 0..k.invocations().min(MAX_SEQUENCED_ROUNDS) {
-                let Some(touches) = program.page_touches(ki, inv, dev.uvm.chunk_size) else {
+                // Each touch is resolved against the buffer layout as it
+                // arrives: touches on `Scratch` buffers are dropped
+                // (device-only memory never far-faults against the host)
+                // and chunk indices are clamped into the buffer's chunks.
+                let mut seq = space.touch_sequence();
+                let mut unknown_buffer = None;
+                let round = program.for_each_page_touch(ki, inv, dev.uvm.chunk_size, &mut |t| {
+                    let Some(b) = buffers.get(t.buffer) else {
+                        unknown_buffer.get_or_insert(t.buffer);
+                        return;
+                    };
+                    if unknown_buffer.is_some() || matches!(b.role, BufferRole::Scratch) {
+                        return;
+                    }
+                    let nchunks = b.bytes.div_ceil(dev.uvm.chunk_size).max(1);
+                    seq.touch(ChunkTouch {
+                        chunk: ChunkId::new(
+                            bases[t.buffer].as_u64() / dev.uvm.chunk_size + t.chunk % nchunks,
+                        ),
+                        write: t.write,
+                        host_backed: b.role.is_input(),
+                    });
+                });
+                if let Some(buffer) = unknown_buffer {
+                    return Err(SimError::InvalidProgram(format!(
+                        "program `{}` kernel {ki} (`{}`) round {inv} touches buffer \
+                         index {buffer}, but the program has {} buffers",
+                        program.name(),
+                        k.name(),
+                        buffers.len()
+                    )));
+                }
+                if !round {
                     break;
-                };
+                }
                 sequenced = true;
-                let seq = resolve_touches(&touches, buffers, &bases, dev.uvm.chunk_size);
-                let fr = space.demand_touch_sequence(&seq, &dev.link);
+                let fr = seq.finish(&dev.link);
                 stall += fr.stall;
                 counters
                     .transfer
@@ -636,7 +638,7 @@ impl Runner {
             }
             if !sequenced {
                 for (b, &base) in buffers.iter().zip(&bases) {
-                    if matches!(b.role, crate::program::BufferRole::Scratch) {
+                    if matches!(b.role, BufferRole::Scratch) {
                         continue;
                     }
                     let fr = space.demand_touch_range(
@@ -1156,5 +1158,59 @@ mod tests {
             Err(SimError::InvalidProgram(msg)) => assert!(msg.contains("empty"), "{msg}"),
             other => panic!("expected InvalidProgram, got {other:?}"),
         }
+    }
+
+    /// A touch model naming buffer index 7 of a two-buffer program.
+    struct StrayTouch(TestProgram);
+
+    impl GpuProgram for StrayTouch {
+        fn name(&self) -> &str {
+            "stray_touch"
+        }
+        fn buffers(&self) -> Vec<BufferSpec> {
+            self.0.buffers()
+        }
+        fn kernels(&self) -> Vec<&dyn KernelModel> {
+            self.0.kernels()
+        }
+        fn for_each_page_touch(
+            &self,
+            _kernel: usize,
+            invocation: u64,
+            _chunk_size: u64,
+            sink: &mut dyn FnMut(crate::program::PageTouch),
+        ) -> bool {
+            for buffer in [0, 7, 1] {
+                sink(crate::program::PageTouch {
+                    buffer,
+                    chunk: invocation,
+                    write: false,
+                });
+            }
+            true
+        }
+    }
+
+    const STRAY_MESSAGE: &str = "invalid program: program `stray_touch` kernel 0 \
+                                 (`test_kernel`) round 0 touches buffer index 7, but the \
+                                 program has 2 buffers";
+
+    #[test]
+    fn touch_on_unknown_buffer_is_invalid_not_a_panic() {
+        let p = StrayTouch(TestProgram::new(64 * MB));
+        for mode in [TransferMode::Uvm, TransferMode::UvmPrefetchAsync] {
+            match runner().try_run_base(&p, mode) {
+                Err(e @ SimError::InvalidProgram(_)) => assert_eq!(e.to_string(), STRAY_MESSAGE),
+                other => panic!("expected InvalidProgram, got {other:?}"),
+            }
+        }
+        // Explicit-copy modes never replay touch sequences.
+        assert!(runner().try_run_base(&p, TransferMode::Standard).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "round 0 touches buffer index 7, but the program has 2 buffers")]
+    fn run_base_panics_with_the_invalid_program_message() {
+        runner().run_base(&StrayTouch(TestProgram::new(64 * MB)), TransferMode::Uvm);
     }
 }

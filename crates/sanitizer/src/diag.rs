@@ -43,8 +43,8 @@ pub enum Lint {
     /// The program declares `Output`/`InOut` buffers but no kernel's
     /// sampled access stream contains a single store.
     OutputNeverStored,
-    /// A page touch indexes past the buffer list — the runtime's
-    /// `resolve_touches` would panic on it.
+    /// A page touch indexes past the buffer list — the runtime rejects
+    /// the program with `SimError::InvalidProgram`.
     TouchBufferOutOfRange,
     /// A page touch's chunk index is at or past the buffer's chunk count;
     /// the runtime silently wraps it (`chunk % nchunks`), touching a

@@ -4,7 +4,7 @@
 //! The simulator's results are only as trustworthy as the descriptions
 //! feeding it: a [`StreamSchedule`](hetsim_runtime::stream::StreamSchedule)
 //! whose chunks overlap across streams without serialization, a
-//! `page_touches` sequence that indexes a `Scratch` buffer or walks past a
+//! touch stream that indexes a `Scratch` buffer or walks past a
 //! buffer's chunk count, an `Output` buffer no kernel ever writes. The
 //! runtime compensates for most of these silently (wrapping indices,
 //! dropping touches, no-op waits), which is exactly how mis-specified
@@ -187,15 +187,19 @@ mod tests {
         fn prefetch_conflict(&self) -> f64 {
             self.conflict
         }
-        fn page_touches(
+        fn for_each_page_touch(
             &self,
             _kernel: usize,
             invocation: u64,
             _chunk_size: u64,
-        ) -> Option<Vec<PageTouch>> {
+            sink: &mut dyn FnMut(PageTouch),
+        ) -> bool {
             match (&self.touches, invocation) {
-                (Some(t), 0) => Some(t.clone()),
-                _ => None,
+                (Some(t), 0) => {
+                    t.iter().for_each(|&t| sink(t));
+                    true
+                }
+                _ => false,
             }
         }
     }

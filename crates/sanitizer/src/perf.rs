@@ -8,7 +8,7 @@
 //! allocation model) over an independent mirror of the UVM residency state
 //! machine: per-buffer chunk bitmaps driven by prefix prefetch, trailing
 //! displacement, address-ordered range walks, and exact replay of
-//! `page_touches` sequences through a [`FaultBatcher`].
+//! touch streams through a [`FaultBatcher`].
 //!
 //! Because the mirror is a from-scratch reimplementation of the runtime's
 //! memory-state evolution, agreement with the simulator is a *checkable
@@ -22,7 +22,7 @@
 //!   total copy time vs. kernel time (what fraction of copy bytes *could*
 //!   hide behind kernels), and whether `cp.async` staging actually speeds
 //!   the kernels up.
-//! * [`DataflowAnalysis`] — buffer dataflow over `page_touches` sequences:
+//! * [`DataflowAnalysis`] — buffer dataflow over the touch streams:
 //!   touch density, mean chunk reuse distance, predicted fault-batch fill,
 //!   and the thrash onset from footprint vs. the HBM carveout.
 //! * [`BudgetCheck`] — oversubscription ratio and the pinned-staging
@@ -126,7 +126,7 @@ pub struct OverlapAnalysis {
     pub async_gain: f64,
 }
 
-/// Buffer dataflow analysis over `page_touches` sequences.
+/// Buffer dataflow analysis over the programs' touch streams.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataflowAnalysis {
     /// Whether any kernel models a temporal touch sequence.
@@ -427,74 +427,16 @@ impl<'a> UvmMirror<'a> {
         (stall, transfer)
     }
 
-    /// Temporal-order sequence replay: partial batches via [`FaultBatcher`]
-    /// plus the driver's region-growing speculation.
-    fn demand_touch_sequence(&mut self, touches: &[MirrorTouch]) -> (Nanos, Nanos) {
-        let mut batcher = FaultBatcher::new(self.fault, self.touch);
-        let mut spec_block: u64 = 1;
-        let mut last_fault: Option<u64> = None;
-        let mut faulted = 0u64;
-        let mut migrated = 0u64;
-        let mut heuristic = 0u64;
-        for t in touches {
-            let b = &mut self.bufs[t.buffer];
-            let i = t.chunk as usize;
-            if b.resident[i] {
-                b.dirty[i] = b.dirty[i] || t.write;
-                batcher.hit();
-                continue;
-            }
-            faulted += 1;
-            batcher.fault();
-            let gidx = b.base_chunk + t.chunk;
-            let adjacent = last_fault.is_some_and(|p| gidx.abs_diff(p) <= spec_block.max(4));
-            spec_block = if adjacent {
-                (spec_block * 2).min(self.touch.max_spec_block.max(1))
-            } else {
-                1
-            };
-            last_fault = Some(gidx);
-            b.resident[i] = true;
-            b.dirty[i] = b.dirty[i] || t.write;
-            if t.host_backed {
-                migrated += 1;
-            }
-            // The speculative block after the faulting chunk, clipped to
-            // managed ranges.
-            for c in gidx + 1..gidx + spec_block {
-                if let Some((bj, off)) = self.owner(c) {
-                    let spec = &mut self.bufs[bj];
-                    if !spec.resident[off] {
-                        spec.resident[off] = true;
-                        heuristic += 1;
-                        if t.host_backed {
-                            migrated += 1;
-                        }
-                    }
-                }
-            }
+    /// Opens a temporal-order sequence replay.
+    fn touch_sequence(&mut self) -> MirrorSequence<'_, 'a> {
+        MirrorSequence {
+            batcher: FaultBatcher::new(self.fault, self.touch),
+            mirror: self,
+            spec_block: 1,
+            last_fault: None,
+            faulted: 0,
+            migrated: 0,
         }
-        if faulted == 0 {
-            return (Nanos::ZERO, Nanos::ZERO);
-        }
-        let fills = batcher.finish();
-        let mut stall = Nanos::ZERO;
-        for &fill in &fills {
-            stall += self.fault.batch_latency + self.fault.per_fault * fill as u64;
-            self.fills.push(fill as u64);
-        }
-        self.heuristic += heuristic;
-        let transfer = if migrated > 0 {
-            self.migrated += migrated;
-            self.link.chunked_transfer_time(
-                LinkPath::DemandMigration,
-                migrated * self.chunk_size,
-                self.chunk_size * self.fault.batch_capacity as u64,
-            )
-        } else {
-            Nanos::ZERO
-        };
-        (stall, transfer)
     }
 
     /// Which buffer (if any) owns global chunk index `gidx`.
@@ -565,6 +507,87 @@ fn ms(n: Nanos) -> f64 {
     n.as_millis_f64()
 }
 
+/// A temporal-order sequence replay in progress against the mirror:
+/// partial batches via [`FaultBatcher`] plus the driver's region-growing
+/// speculation, fed one resolved touch at a time.
+struct MirrorSequence<'m, 'a> {
+    mirror: &'m mut UvmMirror<'a>,
+    batcher: FaultBatcher,
+    spec_block: u64,
+    last_fault: Option<u64>,
+    faulted: u64,
+    migrated: u64,
+}
+
+impl MirrorSequence<'_, '_> {
+    fn touch(&mut self, t: MirrorTouch) {
+        let m = &mut *self.mirror;
+        let b = &mut m.bufs[t.buffer];
+        let i = t.chunk as usize;
+        if b.resident[i] {
+            b.dirty[i] = b.dirty[i] || t.write;
+            self.batcher.hit();
+            return;
+        }
+        self.faulted += 1;
+        self.batcher.fault();
+        let gidx = b.base_chunk + t.chunk;
+        let adjacent = self
+            .last_fault
+            .is_some_and(|p| gidx.abs_diff(p) <= self.spec_block.max(4));
+        self.spec_block = if adjacent {
+            (self.spec_block * 2).min(m.touch.max_spec_block.max(1))
+        } else {
+            1
+        };
+        self.last_fault = Some(gidx);
+        b.resident[i] = true;
+        b.dirty[i] = b.dirty[i] || t.write;
+        if t.host_backed {
+            self.migrated += 1;
+        }
+        // The speculative block after the faulting chunk, clipped to
+        // managed ranges.
+        for c in gidx + 1..gidx + self.spec_block {
+            if let Some((bj, off)) = m.owner(c) {
+                let spec = &mut m.bufs[bj];
+                if !spec.resident[off] {
+                    spec.resident[off] = true;
+                    m.heuristic += 1;
+                    if t.host_backed {
+                        self.migrated += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The sequence's `(stall, transfer)`.
+    fn finish(self) -> (Nanos, Nanos) {
+        let m = self.mirror;
+        if self.faulted == 0 {
+            return (Nanos::ZERO, Nanos::ZERO);
+        }
+        let fills = self.batcher.finish();
+        let mut stall = Nanos::ZERO;
+        for &fill in &fills {
+            stall += m.fault.batch_latency + m.fault.per_fault * fill as u64;
+            m.fills.push(fill as u64);
+        }
+        let transfer = if self.migrated > 0 {
+            m.migrated += self.migrated;
+            m.link.chunked_transfer_time(
+                LinkPath::DemandMigration,
+                self.migrated * m.chunk_size,
+                m.chunk_size * m.fault.batch_capacity as u64,
+            )
+        } else {
+            Nanos::ZERO
+        };
+        (stall, transfer)
+    }
+}
+
 /// Predicts the explicit-copy path (`standard` / `async`).
 fn predict_explicit(
     program: &dyn GpuProgram,
@@ -631,11 +654,7 @@ fn predict_uvm(
         0.0
     };
     let tlb = if mode.uses_prefetch() {
-        TlbConfig {
-            page_bytes: 2 << 20,
-            walk_cycles: 200.0,
-            ..TlbConfig::a100_uvm()
-        }
+        TlbConfig::a100_uvm_coalesced()
     } else {
         TlbConfig::a100_uvm()
     };
@@ -674,27 +693,26 @@ fn predict_uvm(
 
         let mut sequenced = false;
         for inv in 0..k.invocations().min(MAX_SEQUENCED_ROUNDS) {
-            let Some(touches) = program.page_touches(ki, inv, mirror.chunk_size) else {
+            let chunk_size = mirror.chunk_size;
+            let mut seq = mirror.touch_sequence();
+            let round = program.for_each_page_touch(ki, inv, chunk_size, &mut |t| {
+                let b = &buffers[t.buffer];
+                if matches!(b.role, BufferRole::Scratch) {
+                    return;
+                }
+                let nchunks = b.bytes.div_ceil(chunk_size).max(1);
+                seq.touch(MirrorTouch {
+                    buffer: t.buffer,
+                    chunk: t.chunk % nchunks,
+                    write: t.write,
+                    host_backed: b.role.is_input(),
+                });
+            });
+            if !round {
                 break;
-            };
+            }
             sequenced = true;
-            let seq: Vec<MirrorTouch> = touches
-                .iter()
-                .filter_map(|t| {
-                    let b = &buffers[t.buffer];
-                    if matches!(b.role, BufferRole::Scratch) {
-                        return None;
-                    }
-                    let nchunks = b.bytes.div_ceil(mirror.chunk_size).max(1);
-                    Some(MirrorTouch {
-                        buffer: t.buffer,
-                        chunk: t.chunk % nchunks,
-                        write: t.write,
-                        host_backed: b.role.is_input(),
-                    })
-                })
-                .collect();
-            let (s, t) = mirror.demand_touch_sequence(&seq);
+            let (s, t) = seq.finish();
             stall += s;
             memcpy += t;
         }
@@ -1001,16 +1019,12 @@ fn analyze_dataflow(
     let mut position = 0u64;
     for (ki, k) in program.kernels().iter().enumerate() {
         for inv in 0..k.invocations().min(MAX_SEQUENCED_ROUNDS) {
-            let Some(touches) = program.page_touches(ki, inv, chunk_size) else {
-                break;
-            };
-            sequenced = true;
-            for t in &touches {
+            let round = program.for_each_page_touch(ki, inv, chunk_size, &mut |t| {
                 let Some(b) = buffers.get(t.buffer) else {
-                    continue;
+                    return;
                 };
                 if matches!(b.role, BufferRole::Scratch) {
-                    continue;
+                    return;
                 }
                 let nchunks = b.bytes.div_ceil(chunk_size).max(1);
                 let key = (t.buffer, t.chunk % nchunks);
@@ -1021,7 +1035,11 @@ fn analyze_dataflow(
                 }
                 last_seen.insert(key, position);
                 position += 1;
+            });
+            if !round {
+                break;
             }
+            sequenced = true;
         }
     }
     let distinct_chunks = last_seen.len() as u64;
@@ -1150,13 +1168,15 @@ mod tests {
         fn prefetch_conflict(&self) -> f64 {
             self.conflict
         }
-        fn page_touches(
+        fn for_each_page_touch(
             &self,
             _kernel: usize,
             _invocation: u64,
             _chunk_size: u64,
-        ) -> Option<Vec<PageTouch>> {
-            self.touches.clone()
+            sink: &mut dyn FnMut(PageTouch),
+        ) -> bool {
+            self.touches.iter().flatten().for_each(|&t| sink(t));
+            self.touches.is_some()
         }
     }
 

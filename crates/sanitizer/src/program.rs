@@ -31,7 +31,7 @@ fn bump(map: &mut std::collections::BTreeMap<usize, Agg>, key: usize, span: Span
 /// findings.
 ///
 /// The checks are purely static: no simulation is run, only the
-/// description (`buffers`, `kernels`, `page_touches`,
+/// description (`buffers`, `kernels`, the `for_each_page_touch` stream,
 /// `prefetch_conflict`) is inspected, mirroring how the runtime consumes
 /// it. Deterministic: the same program and config always produce the same
 /// report, in the same order.
@@ -82,17 +82,14 @@ pub fn check_program(program: &dyn GpuProgram, cfg: &CheckConfig) -> Report {
         let mut input_write = std::collections::BTreeMap::new();
 
         for inv in 0..rounds {
-            let Some(seq) = program.page_touches(ki, inv, chunk) else {
-                break;
-            };
-            sequenced = true;
-            touches_seen += seq.len() as u64;
-            for (pos, t) in seq.iter().enumerate() {
+            let mut pos = 0;
+            let round = program.for_each_page_touch(ki, inv, chunk, &mut |t| {
                 let span = Span::Touch {
                     kernel: ki,
                     invocation: inv,
                     position: pos,
                 };
+                pos += 1;
                 if t.buffer >= buffers.len() {
                     match &mut oob_buffer {
                         Some(a) => a.count += 1,
@@ -104,7 +101,7 @@ pub fn check_program(program: &dyn GpuProgram, cfg: &CheckConfig) -> Report {
                             })
                         }
                     }
-                    continue;
+                    return;
                 }
                 let b = &buffers[t.buffer];
                 if matches!(b.role, BufferRole::Scratch) {
@@ -121,7 +118,12 @@ pub fn check_program(program: &dyn GpuProgram, cfg: &CheckConfig) -> Report {
                 } else {
                     cov[t.buffer].0 = true;
                 }
+            });
+            if !round {
+                break;
             }
+            sequenced = true;
+            touches_seen += pos as u64;
         }
 
         if !sequenced {
@@ -155,7 +157,7 @@ pub fn check_program(program: &dyn GpuProgram, cfg: &CheckConfig) -> Report {
                     buffers.len(),
                     a.count
                 ),
-                "the runtime panics resolving this touch; fix the model's buffer indices",
+                "the runtime rejects the program as invalid; fix the model's buffer indices",
             ));
         }
         for (bi, a) in oob_chunk {

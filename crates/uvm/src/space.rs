@@ -6,9 +6,13 @@
 //!
 //! Every range operation resolves its chunk range into per-region slot runs
 //! once (one binary search over the regions) and walks the slots in address
-//! order; [`UvmSpace::demand_touch_sequence`] looks each touch's slot up
-//! once. Refault history lives in the page table as a per-slot bit (see
-//! [`crate::table`]), so no operation hashes chunk ids.
+//! order. A temporal touch sequence is a [`TouchSequence`] session
+//! ([`UvmSpace::touch_sequence`]): the caller streams touches into it as
+//! they are generated, each touch looks its slot up once, and the fault
+//! batches are costed when the session finishes — so a kernel round of a
+//! million touches never exists as a vector. Refault history lives in the
+//! page table as a per-slot bit (see [`crate::table`]), so no operation
+//! hashes chunk ids.
 
 use crate::fault::{FaultConfig, FaultReport};
 use crate::page::{chunk_span, CHUNK_SIZE};
@@ -269,9 +273,12 @@ impl UvmSpace {
         }
     }
 
-    /// Demand-touches chunks in the *temporal order* a kernel accesses
-    /// them — the path irregular workloads use instead of
-    /// [`UvmSpace::demand_touch_range`]'s address-ordered sweep.
+    /// Opens a temporal touch sequence: the path irregular workloads use
+    /// instead of [`UvmSpace::demand_touch_range`]'s address-ordered
+    /// sweep. Feed the session one [`ChunkTouch`] at a time with
+    /// [`TouchSequence::touch`] as the kernel's touch model produces them,
+    /// then close it with [`TouchSequence::finish`]; no touch vector is
+    /// ever materialized.
     ///
     /// Three mechanisms the range walk cannot express fire here:
     ///
@@ -292,113 +299,16 @@ impl UvmSpace {
     /// `host_backed`; either way they count toward the heuristic-pages
     /// counter. Touches to unmanaged chunks are a simulator bug and panic,
     /// matching the page-table contract.
-    pub fn demand_touch_sequence(
-        &mut self,
-        touches: &[ChunkTouch],
-        link: &CpuGpuLink,
-    ) -> FaultReport {
-        let tc = self.config.touch;
-        let mut batcher = FaultBatcher::new(self.config.fault, tc);
-        let mut spec_block: u64 = 1;
-        let mut last_fault: Option<u64> = None;
-        let mut faulted = 0u64;
-        let mut migrated = 0u64; // chunks crossing the link
-        let mut heuristic_pages = 0u64;
-        let mut refaults = 0u64;
-        for t in touches {
-            let slot = self.table.find(t.chunk);
-            if let Some(r) = slot.filter(|&r| self.table.slot_is_resident(r)) {
-                self.table.touch_slot(r, t.write);
-                batcher.hit();
-                continue;
-            }
-            let r = slot.expect("made unmanaged chunk resident");
-            faulted += 1;
-            refaults += u64::from(self.table.slot_was_evicted(r));
-            batcher.fault();
-            let idx = t.chunk.index();
-            let adjacent = last_fault.is_some_and(|p| idx.abs_diff(p) <= spec_block.max(4));
-            spec_block = if adjacent {
-                (spec_block * 2).min(tc.max_spec_block.max(1))
-            } else {
-                1
-            };
-            last_fault = Some(idx);
-            self.make_resident(r);
-            self.table.touch_slot(r, t.write);
-            if t.host_backed {
-                migrated += 1;
-            }
-            // The speculative block after the faulting chunk, clipped to
-            // the managed range.
-            if spec_block > 1 {
-                self.for_each_chunk(idx + 1..idx + spec_block, |s, spec| {
-                    let Some(spec) = spec else { return };
-                    if s.table.slot_is_managed(spec) && !s.table.slot_is_resident(spec) {
-                        s.make_resident(spec);
-                        heuristic_pages += 1;
-                        if t.host_backed {
-                            migrated += 1;
-                        }
-                    }
-                });
-            }
-        }
-        if faulted == 0 {
-            return FaultReport::default();
-        }
-        let fills = batcher.finish();
-        let mut stall = Nanos::ZERO;
-        for &fill in &fills {
-            let s = self.config.fault.batch_latency + self.config.fault.per_fault * fill as u64;
-            stall += s;
-            self.counters.record_fault_batch(fill as u64, s);
-            self.counters.record_batch_fill(fill as u64);
-        }
-        self.counters.record_refaults(refaults);
-        self.counters.record_heuristic_pages(heuristic_pages);
-        let transfer = if migrated > 0 {
-            self.counters.record_migrated_pages(migrated);
-            link.record_chunked_transfer(
-                LinkPath::DemandMigration,
-                migrated * self.config.chunk_size,
-                self.config.chunk_size * self.config.fault.batch_capacity as u64,
-            )
-        } else {
-            Nanos::ZERO
-        };
-        hetsim_trace::session::with(|b| {
-            let track = b.track("uvm");
-            b.detail_span(
-                track,
-                hetsim_trace::Category::FaultBatch,
-                "fault_batch_seq",
-                stall.as_nanos(),
-                Some(("chunks", faulted as f64)),
-            );
-            if !transfer.is_zero() {
-                b.detail_span(
-                    track,
-                    hetsim_trace::Category::Migration,
-                    "migration",
-                    transfer.as_nanos(),
-                    Some(("chunks", migrated as f64)),
-                );
-            }
-            b.counter_on(track, "uvm.page_faults", self.counters.page_faults() as f64);
-            b.counter_on(
-                track,
-                "uvm.pages_migrated",
-                self.counters.pages_migrated() as f64,
-            );
-            b.counter_on(track, "uvm.refaults", self.counters.refaults() as f64);
-            b.counter_on(track, "uvm.resident_bytes", self.resident_bytes as f64);
-        });
-        FaultReport {
-            chunks: faulted,
-            batches: fills.len() as u64,
-            stall,
-            transfer,
+    pub fn touch_sequence(&mut self) -> TouchSequence<'_> {
+        TouchSequence {
+            batcher: FaultBatcher::new(self.config.fault, self.config.touch),
+            space: self,
+            spec_block: 1,
+            last_fault: None,
+            faulted: 0,
+            migrated: 0,
+            heuristic_pages: 0,
+            refaults: 0,
         }
     }
 
@@ -568,6 +478,149 @@ impl UvmSpace {
     }
 }
 
+/// One temporal touch sequence in progress, from
+/// [`UvmSpace::touch_sequence`]: the fault batcher, the driver's
+/// speculation state and the sequence's counters. Residency changes as
+/// each touch arrives; the batches are serviced and costed at
+/// [`TouchSequence::finish`].
+#[derive(Debug)]
+pub struct TouchSequence<'a> {
+    space: &'a mut UvmSpace,
+    batcher: FaultBatcher,
+    spec_block: u64,
+    last_fault: Option<u64>,
+    faulted: u64,
+    /// Chunks crossing the link.
+    migrated: u64,
+    heuristic_pages: u64,
+    refaults: u64,
+}
+
+impl TouchSequence<'_> {
+    /// Replays one access of the sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the touch faults on an unmanaged chunk.
+    pub fn touch(&mut self, t: ChunkTouch) {
+        let space = &mut *self.space;
+        let slot = space.table.find(t.chunk);
+        if let Some(r) = slot.filter(|&r| space.table.slot_is_resident(r)) {
+            space.table.touch_slot(r, t.write);
+            self.batcher.hit();
+            return;
+        }
+        let r = slot.expect("made unmanaged chunk resident");
+        self.faulted += 1;
+        self.refaults += u64::from(space.table.slot_was_evicted(r));
+        self.batcher.fault();
+        let idx = t.chunk.index();
+        let adjacent = self
+            .last_fault
+            .is_some_and(|p| idx.abs_diff(p) <= self.spec_block.max(4));
+        self.spec_block = if adjacent {
+            (self.spec_block * 2).min(space.config.touch.max_spec_block.max(1))
+        } else {
+            1
+        };
+        self.last_fault = Some(idx);
+        space.make_resident(r);
+        space.table.touch_slot(r, t.write);
+        if t.host_backed {
+            self.migrated += 1;
+        }
+        // The speculative block after the faulting chunk, clipped to the
+        // managed range.
+        if self.spec_block > 1 {
+            space.for_each_chunk(idx + 1..idx + self.spec_block, |s, spec| {
+                let Some(spec) = spec else { return };
+                if s.table.slot_is_managed(spec) && !s.table.slot_is_resident(spec) {
+                    s.make_resident(spec);
+                    self.heuristic_pages += 1;
+                    if t.host_backed {
+                        self.migrated += 1;
+                    }
+                }
+            });
+        }
+    }
+
+    /// Services the sequence's fault batches and migrations, records them
+    /// in the space's counters and the trace, and returns the report. A
+    /// sequence that never faulted records nothing.
+    pub fn finish(self, link: &CpuGpuLink) -> FaultReport {
+        let TouchSequence {
+            space,
+            batcher,
+            faulted,
+            migrated,
+            heuristic_pages,
+            refaults,
+            ..
+        } = self;
+        if faulted == 0 {
+            return FaultReport::default();
+        }
+        let fills = batcher.finish();
+        let mut stall = Nanos::ZERO;
+        for &fill in &fills {
+            let s = space.config.fault.batch_latency + space.config.fault.per_fault * fill as u64;
+            stall += s;
+            space.counters.record_fault_batch(fill as u64, s);
+            space.counters.record_batch_fill(fill as u64);
+        }
+        space.counters.record_refaults(refaults);
+        space.counters.record_heuristic_pages(heuristic_pages);
+        let transfer = if migrated > 0 {
+            space.counters.record_migrated_pages(migrated);
+            link.record_chunked_transfer(
+                LinkPath::DemandMigration,
+                migrated * space.config.chunk_size,
+                space.config.chunk_size * space.config.fault.batch_capacity as u64,
+            )
+        } else {
+            Nanos::ZERO
+        };
+        hetsim_trace::session::with(|b| {
+            let track = b.track("uvm");
+            b.detail_span(
+                track,
+                hetsim_trace::Category::FaultBatch,
+                "fault_batch_seq",
+                stall.as_nanos(),
+                Some(("chunks", faulted as f64)),
+            );
+            if !transfer.is_zero() {
+                b.detail_span(
+                    track,
+                    hetsim_trace::Category::Migration,
+                    "migration",
+                    transfer.as_nanos(),
+                    Some(("chunks", migrated as f64)),
+                );
+            }
+            b.counter_on(
+                track,
+                "uvm.page_faults",
+                space.counters.page_faults() as f64,
+            );
+            b.counter_on(
+                track,
+                "uvm.pages_migrated",
+                space.counters.pages_migrated() as f64,
+            );
+            b.counter_on(track, "uvm.refaults", space.counters.refaults() as f64);
+            b.counter_on(track, "uvm.resident_bytes", space.resident_bytes as f64);
+        });
+        FaultReport {
+            chunks: faulted,
+            batches: fills.len() as u64,
+            stall,
+            transfer,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,6 +741,15 @@ mod tests {
         assert_eq!(s.counters().fault_batches(), 1);
     }
 
+    /// Streams a whole sequence through one session.
+    fn replay(s: &mut UvmSpace, touches: &[ChunkTouch]) -> FaultReport {
+        let mut seq = s.touch_sequence();
+        for &t in touches {
+            seq.touch(t);
+        }
+        seq.finish(&link())
+    }
+
     fn seq(chunks: &[u64], write: bool, host_backed: bool) -> Vec<ChunkTouch> {
         chunks
             .iter()
@@ -704,7 +766,7 @@ mod tests {
         let mut s = space();
         s.managed_alloc(Addr::new(0), 64 * MB); // 1024 chunks
         let touches = seq(&(0..1024).collect::<Vec<_>>(), false, true);
-        let r = s.demand_touch_sequence(&touches, &link());
+        let r = replay(&mut s, &touches);
         // Region growing covers most of the stream: far fewer faults than
         // chunks, all migrated (demand + speculation).
         assert!(r.chunks < 1024 / 4, "faults {}", r.chunks);
@@ -734,7 +796,7 @@ mod tests {
                 });
             }
         }
-        let r = s.demand_touch_sequence(&touches, &link());
+        let r = replay(&mut s, &touches);
         assert_eq!(r.chunks, 8);
         assert_eq!(r.batches, 8, "every fault drains its own batch");
         let dense_stall = UvmConfig::a100().fault.service_stall(8);
@@ -751,10 +813,10 @@ mod tests {
         let mut s = space();
         s.managed_alloc(Addr::new(0), MB); // 16 chunks
         let touches = seq(&(0..16).collect::<Vec<_>>(), false, true);
-        s.demand_touch_sequence(&touches, &link());
+        replay(&mut s, &touches);
         assert_eq!(s.counters().refaults(), 0);
         s.displace_fraction(Addr::new(0), MB, 1.0);
-        let r = s.demand_touch_sequence(&touches, &link());
+        let r = replay(&mut s, &touches);
         assert!(r.chunks > 0);
         assert_eq!(s.counters().refaults(), r.chunks, "every fault re-faults");
     }
@@ -764,8 +826,8 @@ mod tests {
         let mut s = space();
         s.managed_alloc(Addr::new(0), MB);
         let touches = seq(&(0..16).collect::<Vec<_>>(), false, true);
-        s.demand_touch_sequence(&touches, &link());
-        let r = s.demand_touch_sequence(&touches, &link());
+        replay(&mut s, &touches);
+        let r = replay(&mut s, &touches);
         assert_eq!(r, FaultReport::default());
     }
 
@@ -774,7 +836,7 @@ mod tests {
         let mut s = space();
         s.managed_alloc(Addr::new(0), MB);
         let touches = seq(&(0..16).collect::<Vec<_>>(), true, false);
-        let r = s.demand_touch_sequence(&touches, &link());
+        let r = replay(&mut s, &touches);
         assert!(r.chunks > 0);
         assert_eq!(r.transfer, Nanos::ZERO, "no host backing, no link time");
         assert_eq!(s.counters().pages_migrated(), 0);
@@ -790,9 +852,9 @@ mod tests {
         s.managed_alloc(Addr::new(0), 32 * cfg.chunk_size);
         let pass: Vec<u64> = (0..32).collect();
         let touches = seq(&pass, false, true);
-        s.demand_touch_sequence(&touches, &link());
+        replay(&mut s, &touches);
         // The second pass re-touches data the first pass already evicted.
-        s.demand_touch_sequence(&touches, &link());
+        replay(&mut s, &touches);
         assert!(s.counters().refaults() > 0, "re-touch must thrash");
         assert!(s.counters().pages_evicted() > 0);
         assert!(s.resident_bytes() <= cfg.device_capacity);

@@ -5,21 +5,43 @@
 //! UVM is in use (§2.1); the simulator reduces that to the single question
 //! the timing model needs: *is this chunk resident on the device right now?*
 //!
+//! # Layout
+//!
 //! Managed allocations register dense runs of chunk ids (one contiguous
-//! range per buffer), so the table stores per-chunk state in dense
-//! [`Vec`]-backed *regions* instead of a hash map, and threads an intrusive
-//! doubly-linked LRU list through the slots instead of keeping a separate
-//! ordered index. Region ids are stable — a new region is appended and only
-//! its place in the address-sorted index moves — so the LRU links, which
-//! name slots by `(region, offset)`, never go stale.
+//! range per buffer), so the table keeps per-chunk state in one
+//! append-only *slot arena* instead of a hash map, and threads an
+//! intrusive doubly-linked LRU list through the slots instead of keeping a
+//! separate ordered index. A slot is named by its `u32` arena index, which
+//! never changes, so the LRU links never go stale. A slot is a flag byte
+//! plus two `u32` links: 12 bytes per 64 KiB chunk.
+//!
+//! The arena lives in fixed-size blocks of 2^17 slots (1.5 MiB, 8 GiB of
+//! managed memory at 64 KiB chunks). Only the last, partly filled block
+//! grows, by doubling, so a small table holds only its slots; a full block
+//! is never copied. Registration therefore stays amortized O(1) per chunk,
+//! and growth never holds two copies of the arena — at most of one block.
+//!
+//! A *region* maps a dense run of chunk ids onto consecutive arena slots:
+//! `(start chunk, arena base, len)`. Registering chunks no region covers
+//! extends the previous region only when that region is address-adjacent
+//! *and* ends the arena; any other gap becomes a new region at the end of
+//! the arena. Regions are therefore created in arena order, which is how a
+//! slot finds its chunk again (binary search over region bases), while a
+//! second, address-sorted index serves chunk lookups and range walks.
+//!
+//! The arena holds at most 2^32 − 1 slots (one index is the LRU list's
+//! terminator); [`PageTable::register_range`] panics past that.
+//!
+//! # Range walks
 //!
 //! Range operations resolve slots once per region, not once per chunk.
 //! [`PageTable::register_range`] resets the part of a range that overlaps
-//! existing regions and adds the rest with one resize or insert per gap;
-//! [`UvmSpace`](crate::space::UvmSpace) walks every other range (touch,
-//! prefetch, displacement, write-back, free) as per-region slot runs from
-//! one binary search, driving a crate-private slot API keyed by slot
-//! reference. The public per-chunk methods wrap the same slot operations.
+//! existing regions and appends the rest, one region extension or insert
+//! per gap; [`UvmSpace`](crate::space::UvmSpace) walks every other range
+//! (touch, prefetch, displacement, write-back, free) as per-region slot
+//! runs from one binary search, driving a crate-private slot API keyed by
+//! slot reference. The public per-chunk methods wrap the same slot
+//! operations.
 //!
 //! Each slot also carries the *refault bit*: set when the chunk leaves the
 //! device (LRU eviction or prefetch displacement), cleared when the chunk
@@ -30,25 +52,22 @@
 use crate::page::ChunkId;
 use std::ops::Range;
 
-/// Reference to one slot: region id + chunk offset within the region.
-/// Doubles as the link type of the intrusive LRU list.
+/// Reference to one slot: its index in the arena. Doubles as the link
+/// type of the intrusive LRU list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SlotRef {
-    region: u32,
-    offset: u32,
-}
+pub(crate) struct SlotRef(u32);
 
-/// The list-terminator sentinel.
-const NIL: SlotRef = SlotRef {
-    region: u32::MAX,
-    offset: u32::MAX,
-};
+/// The list-terminator sentinel; no slot has this index.
+const NIL: SlotRef = SlotRef(u32::MAX);
 
 impl SlotRef {
     fn is_nil(self) -> bool {
         self == NIL
     }
 }
+
+/// Most slots the arena holds: every `u32` index except [`NIL`]'s.
+const MAX_SLOTS: u64 = u32::MAX as u64;
 
 /// Slot state bits.
 const MANAGED: u8 = 1;
@@ -82,36 +101,97 @@ impl Slot {
     }
 }
 
-/// One dense run of chunk ids starting at `start`.
-#[derive(Debug, Clone)]
+/// Slots per arena block, a power of two (1.5 MiB of slots).
+const BLOCK_BITS: u32 = 17;
+const BLOCK_SLOTS: usize = 1 << BLOCK_BITS;
+
+/// The append-only slot arena: blocks of [`BLOCK_SLOTS`] slots. Only the
+/// last block grows, doubling up to its fixed size, so a small table
+/// allocates only the slots it holds; a full block never moves.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    blocks: Vec<Vec<Slot>>,
+    len: u32,
+}
+
+impl Arena {
+    fn get(&self, r: SlotRef) -> &Slot {
+        &self.blocks[(r.0 >> BLOCK_BITS) as usize][r.0 as usize & (BLOCK_SLOTS - 1)]
+    }
+
+    fn get_mut(&mut self, r: SlotRef) -> &mut Slot {
+        &mut self.blocks[(r.0 >> BLOCK_BITS) as usize][r.0 as usize & (BLOCK_SLOTS - 1)]
+    }
+
+    /// Appends `n` fresh slots, returning the index of the first.
+    fn push_fresh(&mut self, n: u64) -> u32 {
+        let base = self.len;
+        self.len = arena_end(base, n);
+        let mut left = n as usize;
+        while left > 0 {
+            if self.blocks.last().is_none_or(|b| b.len() == BLOCK_SLOTS) {
+                self.blocks.push(Vec::new());
+            }
+            let block = self.blocks.last_mut().expect("a block with room");
+            let take = left.min(BLOCK_SLOTS - block.len());
+            if block.capacity() < block.len() + take {
+                let want = (block.len() + take)
+                    .max(2 * block.capacity())
+                    .min(BLOCK_SLOTS);
+                block.reserve_exact(want - block.len());
+            }
+            block.resize(block.len() + take, Slot::FRESH);
+            left -= take;
+        }
+        base
+    }
+}
+
+/// The arena length after appending `n` slots at `base`.
+///
+/// # Panics
+///
+/// Panics if that exceeds [`MAX_SLOTS`].
+fn arena_end(base: u32, n: u64) -> u32 {
+    let end = base as u64 + n;
+    assert!(
+        end <= MAX_SLOTS,
+        "page table full: registering {n} more chunks would exceed the \
+         limit of {MAX_SLOTS} (2^32 - 1) chunk slots"
+    );
+    end as u32
+}
+
+/// One dense run of chunk ids starting at `start`, stored in the arena
+/// slots `base..base + len`.
+#[derive(Debug, Clone, Copy)]
 struct Region {
     start: u64,
-    slots: Vec<Slot>,
+    base: u32,
+    len: u32,
 }
 
 impl Region {
     fn end(&self) -> u64 {
-        self.start + self.slots.len() as u64
+        self.start + self.len as u64
+    }
+
+    /// The slot of chunk id `idx`, which the region must cover.
+    fn slot_at(&self, idx: u64) -> u32 {
+        self.base + (idx - self.start) as u32
     }
 }
 
 /// Consecutive slots of one region, yielded as [`SlotRef`]s in address
 /// order.
 #[derive(Debug, Clone)]
-pub(crate) struct SlotRun {
-    region: u32,
-    offsets: Range<u32>,
-}
+pub(crate) struct SlotRun(Range<u32>);
 
 impl Iterator for SlotRun {
     type Item = SlotRef;
 
     fn next(&mut self) -> Option<SlotRef> {
-        let offset = self.offsets.next()?;
-        Some(SlotRef {
-            region: self.region,
-            offset,
-        })
+        self.0.next().map(SlotRef)
     }
 }
 
@@ -138,9 +218,11 @@ pub(crate) struct Spans {
 /// The device page table for one managed address space.
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    /// Dense chunk-state regions by stable id; they never overlap.
+    /// Every slot, in registration order.
+    arena: Arena,
+    /// Regions in arena order (ascending `base`); they never overlap.
     regions: Vec<Region>,
-    /// Region ids sorted by `start`.
+    /// Region ids (indices into `regions`) sorted by `start`.
     order: Vec<u32>,
     /// Intrusive LRU list over device-resident slots (head = oldest).
     head: SlotRef,
@@ -159,6 +241,7 @@ impl PageTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         PageTable {
+            arena: Arena::default(),
             regions: Vec::new(),
             order: Vec::new(),
             head: NIL,
@@ -185,10 +268,7 @@ impl PageTable {
         let idx = chunk.index();
         let &id = self.order.get(self.first_ending_after(idx))?;
         let region = self.region(id);
-        (region.start <= idx).then(|| SlotRef {
-            region: id,
-            offset: (idx - region.start) as u32,
-        })
+        (region.start <= idx).then(|| SlotRef(region.slot_at(idx)))
     }
 
     /// Starts a span walk over the chunk ids `chunks`.
@@ -209,10 +289,7 @@ impl PageTable {
             Some(&id) if self.region(id).start <= walk.next => {
                 let region = self.region(id);
                 let hi = region.end().min(walk.end);
-                let run = SlotRun {
-                    region: id,
-                    offsets: (walk.next - region.start) as u32..(hi - region.start) as u32,
-                };
+                let run = SlotRun(region.slot_at(walk.next)..region.slot_at(hi));
                 walk.next = hi;
                 walk.pos += 1;
                 Some(Span::Slots(run))
@@ -227,15 +304,18 @@ impl PageTable {
     }
 
     fn slot(&self, r: SlotRef) -> &Slot {
-        &self.regions[r.region as usize].slots[r.offset as usize]
+        self.arena.get(r)
     }
 
     fn slot_mut(&mut self, r: SlotRef) -> &mut Slot {
-        &mut self.regions[r.region as usize].slots[r.offset as usize]
+        self.arena.get_mut(r)
     }
 
+    /// The chunk a slot holds: its region is the last one based at or
+    /// below it.
     fn chunk_of(&self, r: SlotRef) -> ChunkId {
-        ChunkId::new(self.region(r.region).start + r.offset as u64)
+        let region = &self.regions[self.regions.partition_point(|g| g.base <= r.0) - 1];
+        ChunkId::new(region.start + (r.0 - region.base) as u64)
     }
 
     // ---- intrusive LRU list ----
@@ -377,8 +457,14 @@ impl PageTable {
     /// device-resident before.
     ///
     /// Re-registering existing chunks resets them to host residency (a
-    /// fresh allocation reusing the address range); the rest of the range
-    /// extends the region it is dense-adjacent to, or becomes a new one.
+    /// fresh allocation reusing the address range). The rest of the range
+    /// is appended to the slot arena: each gap extends the region it is
+    /// dense-adjacent to when that region ends the arena, and becomes a
+    /// new region otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena would exceed 2^32 − 1 slots.
     pub fn register_range(&mut self, chunks: Range<u64>) -> usize {
         let mut was_resident = 0;
         let mut walk = self.spans(chunks);
@@ -400,24 +486,28 @@ impl PageTable {
                 }
                 Span::Gap(len) => {
                     let start = walk.next - len;
-                    let len = len as usize;
+                    let base = self.arena.push_fresh(len);
                     // The walk's previous region is the one ending at or
-                    // before the gap.
+                    // before the gap; it absorbs the gap only if both its
+                    // chunk ids and its slots run straight into it.
                     match walk.pos.checked_sub(1).map(|p| self.order[p]) {
-                        Some(prev) if self.region(prev).end() == start => {
-                            let slots = &mut self.regions[prev as usize].slots;
-                            slots.resize(slots.len() + len, Slot::FRESH);
+                        Some(prev)
+                            if self.region(prev).end() == start
+                                && self.region(prev).base + self.region(prev).len == base =>
+                        {
+                            self.regions[prev as usize].len += len as u32;
                         }
                         _ => {
                             self.order.insert(walk.pos, self.regions.len() as u32);
                             self.regions.push(Region {
                                 start,
-                                slots: vec![Slot::FRESH; len],
+                                base,
+                                len: len as u32,
                             });
                             walk.pos += 1;
                         }
                     }
-                    self.managed += len;
+                    self.managed += len as usize;
                 }
             }
         }
@@ -523,7 +613,8 @@ impl PageTable {
         let mut v = Vec::new();
         for &id in &self.order {
             let region = self.region(id);
-            for (off, s) in region.slots.iter().enumerate() {
+            for (off, r) in (region.base..region.base + region.len).enumerate() {
+                let s = self.slot(SlotRef(r));
                 if s.has(RESIDENT) && s.has(DIRTY) {
                     v.push(ChunkId::new(region.start + off as u64));
                 }
@@ -739,6 +830,76 @@ mod tests {
         // past the dense range.
         t.register(c(2));
         assert_eq!(t.managed_count(), 4);
+    }
+
+    #[test]
+    fn slot_is_a_flag_byte_and_two_u32_links() {
+        assert_eq!(std::mem::size_of::<Slot>(), 12);
+    }
+
+    #[test]
+    fn gap_extends_only_the_region_ending_the_arena() {
+        // Per-chunk registration of two interleaved ranges: after the
+        // first chunk of the second range, the first range's region no
+        // longer ends the arena, so its next chunk opens a new region.
+        let mut t = PageTable::new();
+        for i in 0..3 {
+            t.register(c(i));
+            t.register(c(100 + i));
+        }
+        assert_eq!(
+            t.regions.len(),
+            6,
+            "every chunk after the first switch opens a region"
+        );
+        t.register_range(3..5);
+        t.register_range(5..7);
+        assert_eq!(t.regions.len(), 7, "a run at the arena end keeps extending");
+        assert_eq!(t.arena.len, 10);
+        for i in (0..7).chain(100..103) {
+            let r = t.find(c(i)).expect("registered");
+            assert_eq!(t.chunk_of(r), c(i), "slot {} maps back to its chunk", r.0);
+        }
+    }
+
+    #[test]
+    fn arena_blocks_hold_every_slot_once() {
+        let mut t = PageTable::new();
+        let n = 2 * BLOCK_SLOTS as u64 + 5;
+        t.register_range(0..n);
+        let capacities: Vec<usize> = t.arena.blocks.iter().map(Vec::capacity).collect();
+        assert_eq!(
+            capacities,
+            [BLOCK_SLOTS, BLOCK_SLOTS, 5],
+            "full blocks, then what is held"
+        );
+        t.make_resident(c(n - 1));
+        t.make_resident(c(0));
+        t.make_resident(c(BLOCK_SLOTS as u64));
+        let order: Vec<u64> = std::iter::from_fn(|| t.evict_lru())
+            .map(|(chunk, _)| chunk.index())
+            .collect();
+        assert_eq!(order, [n - 1, 0, BLOCK_SLOTS as u64]);
+
+        // Chunk-by-chunk registration doubles the last block: amortized
+        // O(1) per chunk, and a small table holds about its slots.
+        let mut t = PageTable::new();
+        for i in 0..100 {
+            t.register(c(2 * i));
+        }
+        assert_eq!(t.arena.blocks.len(), 1);
+        assert_eq!(t.arena.blocks[0].capacity(), 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 4294967295 (2^32 - 1) chunk slots")]
+    fn arena_past_u32_slots_panics() {
+        arena_end(u32::MAX - 3, 4);
+    }
+
+    #[test]
+    fn arena_may_fill_to_the_limit() {
+        assert_eq!(arena_end(u32::MAX - 3, 3), u32::MAX);
     }
 
     #[test]

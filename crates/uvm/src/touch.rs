@@ -11,11 +11,18 @@
 //! module supplies the two pieces that path needs:
 //!
 //! * [`ChunkTouch`] — one access of a temporal sequence, produced by a
-//!   workload's touch model (`hetsim-workloads`) and consumed by
-//!   [`UvmSpace::demand_touch_sequence`](crate::space::UvmSpace::demand_touch_sequence);
+//!   workload's touch model (`hetsim-workloads`) and streamed, one touch
+//!   at a time, into a
+//!   [`TouchSequence`](crate::space::TouchSequence) session opened by
+//!   [`UvmSpace::touch_sequence`](crate::space::UvmSpace::touch_sequence);
 //! * [`FaultBatcher`] — the driver's fault buffer: it retires a batch when
 //!   full *or* when the SMs run far enough ahead of the buffer (a drain
 //!   gap of non-faulting accesses) that the driver services what it has.
+//!
+//! The session holds the batcher, the speculation state and the
+//! sequence's counters, applies residency changes as touches arrive and
+//! costs the batches when it finishes, so a sequence never has to exist
+//! as a vector.
 //!
 //! The per-batch fill values the batcher reports feed the
 //! `hetsim-counters` batch-fill histogram, which is how the shape tests

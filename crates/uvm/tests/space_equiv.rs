@@ -11,7 +11,10 @@
 //! table's per-chunk state, its full LRU victim order and the trace events
 //! the step recorded. An operation that panics must panic with the same
 //! message on both sides (unmanaged touches keep their messages); it is
-//! then rolled back on both.
+//! then rolled back on both. Temporal sequences reach the real space one
+//! touch at a time through a [`TouchSequence`](hetsim_uvm::TouchSequence)
+//! session, as the runtime streams them; the model replays the whole
+//! slice.
 
 use hetsim_counters::UvmCounters;
 use hetsim_engine::rng::SimRng;
@@ -556,7 +559,14 @@ fn apply_real(s: &mut UvmSpace, op: &Op, link: &CpuGpuLink) -> Outcome {
         &Op::Touch(base, bytes, write, hb) => {
             Outcome::Faults(s.demand_touch_range(base, bytes, write, hb, link))
         }
-        Op::Sequence(touches) => Outcome::Faults(s.demand_touch_sequence(touches, link)),
+        Op::Sequence(touches) => {
+            // Streamed one touch at a time, as the runtime feeds it.
+            let mut seq = s.touch_sequence();
+            for &t in touches {
+                seq.touch(t);
+            }
+            Outcome::Faults(seq.finish(link))
+        }
         &Op::Displace(base, bytes, f) => Outcome::Displaced(s.displace_fraction(base, bytes, f)),
         &Op::Writeback(base, bytes, path) => {
             Outcome::Time(s.writeback_dirty(base, bytes, path, link))
@@ -721,11 +731,50 @@ fn unmanaged_touches_keep_their_panic_messages() {
             write: false,
             host_backed: true,
         };
-        s.demand_touch_sequence(&[t], &link);
+        s.touch_sequence().touch(t);
     });
     assert_eq!(sequence, MSG, "sequence walk");
     let prefetch = unmanaged_panic(|s| {
         s.prefetch_range(gap, 2 * CHUNK_SIZE, 1.0, &link);
     });
     assert_eq!(prefetch, MSG, "prefetch walk");
+}
+
+/// An empty round — a session opened and finished without a touch — on
+/// any reachable state returns an empty report and leaves counters,
+/// residency, LRU order and the trace untouched.
+#[test]
+fn empty_round_leaves_the_space_untouched() {
+    let link = CpuGpuLink::pcie4_a100();
+    let (_, no_events) = traced(|| ());
+    for case in 0..8u64 {
+        let mut rng = SimRng::seed_from_parts(&["space_equiv", "empty_round"], case);
+        let mut config = UvmConfig::a100();
+        config.device_capacity = rng.below(7) * config.chunk_size;
+        let mut space = UvmSpace::new(config);
+        let mut live = Vec::new();
+        for step in 0..60u64 {
+            let op = random_op(&mut rng, &mut live, |c| space.table().is_managed(c));
+            let mut next = space.clone();
+            if traced(|| apply_real(&mut next, &op, &link)).0.is_ok() {
+                space = next;
+            }
+            let mut after = space.clone();
+            let (report, trace) = traced(|| after.touch_sequence().finish(&link));
+            let ctx = Ctx(case, step, &op);
+            assert_eq!(report, Ok(FaultReport::default()), "report {ctx}");
+            assert_eq!(trace, no_events, "trace events {ctx}");
+            assert_eq!(after.counters(), space.counters(), "counters {ctx}");
+            assert_eq!(
+                after.resident_bytes(),
+                space.resident_bytes(),
+                "resident {ctx}"
+            );
+            assert_eq!(
+                lru_order(after.table()),
+                lru_order(space.table()),
+                "LRU victim order {ctx}"
+            );
+        }
+    }
 }

@@ -16,7 +16,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 /// The pre-rewrite reference implementation, kept verbatim as the model:
 /// per-chunk state in a `HashMap`, LRU as an ordered `(stamp, chunk)` set,
 /// plus the refault history the space used to keep beside the table.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct ModelTable {
     /// `(device-resident, dirty, last-use stamp)` per managed chunk.
     chunks: HashMap<ChunkId, (bool, bool, u64)>,
@@ -146,6 +146,15 @@ fn universe() -> Vec<ChunkId> {
         .collect()
 }
 
+/// The chunk at the same offset from the other buffer's base.
+fn twin(chunk: u64) -> u64 {
+    if chunk >= BASES[1] - 8 {
+        chunk - (BASES[1] - BASES[0])
+    } else {
+        chunk + (BASES[1] - BASES[0])
+    }
+}
+
 fn assert_same_observations(real: &PageTable, model: &ModelTable, universe: &[ChunkId], step: u64) {
     assert_eq!(
         real.managed_count(),
@@ -200,10 +209,34 @@ fn dense_table_matches_map_model_on_random_sequences() {
         }
         for step in 0..400u64 {
             let c = universe[rng.below(universe.len() as u64) as usize];
-            match rng.below(13) {
+            match rng.below(15) {
                 0 => {
                     real.register(c);
                     model.register(c);
+                }
+                13 => {
+                    // Per-chunk registration of two interleaved ranges,
+                    // one per buffer: each chunk's gap follows a region
+                    // that no longer ends the arena.
+                    let (a, b) = (c.index(), twin(c.index()));
+                    for i in 0..rng.range(1, 8) {
+                        for first in [a + i, b + i] {
+                            real.register(ChunkId::new(first));
+                            model.register(ChunkId::new(first));
+                        }
+                    }
+                }
+                14 => {
+                    // Re-registration across both ranges at once (the
+                    // interleaved regions and their neighbours).
+                    let count = rng.range(1, 20);
+                    for first in [c.index(), twin(c.index())] {
+                        assert_eq!(
+                            real.register_range(first..first + count),
+                            model.register_range(first, count),
+                            "register_range({first}, {count}) @ step {step} case {case}"
+                        );
+                    }
                 }
                 12 => {
                     // A run that may reset live chunks, extend a region at
@@ -263,4 +296,48 @@ fn dense_table_matches_map_model_on_random_sequences() {
             }
         }
     }
+}
+
+/// Interleaved per-chunk registration scatters each buffer over many
+/// arena regions; the LRU victim order across them, and after
+/// re-registering both ranges, matches the model.
+#[test]
+fn lru_order_spans_interleaved_arena_regions() {
+    let mut real = PageTable::new();
+    let mut model = ModelTable::default();
+    for i in 0..16 {
+        for b in BASES {
+            real.register(ChunkId::new(b + i));
+            model.register(ChunkId::new(b + i));
+        }
+    }
+    let mut rng = SimRng::seed_from_parts(&["table_equiv", "interleaved"], 0);
+    for _ in 0..64 {
+        let c = ChunkId::new(BASES[rng.below(2) as usize] + rng.below(16));
+        if rng.chance(0.5) {
+            real.make_resident(c);
+            model.make_resident(c);
+        } else if model.is_resident(c) {
+            real.touch(c, true);
+            model.touch(c, true);
+        }
+    }
+    let drain = |real: &mut PageTable, model: &mut ModelTable| {
+        let order: Vec<_> = std::iter::from_fn(|| real.evict_lru()).collect();
+        let expected: Vec<_> = std::iter::from_fn(|| model.evict_lru()).collect();
+        assert_eq!(order, expected);
+        order.len()
+    };
+    let (mut r2, mut m2) = (real.clone(), model.clone());
+    assert!(
+        drain(&mut r2, &mut m2) > 8,
+        "residents spread over both ranges"
+    );
+    // Re-register the first half of each range: those chunks leave the
+    // LRU list; the survivors keep their order.
+    for b in BASES {
+        assert_eq!(real.register_range(b..b + 8), model.register_range(b, 8));
+    }
+    drain(&mut real, &mut model);
+    assert_eq!(real.managed_count(), 32);
 }

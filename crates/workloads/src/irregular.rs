@@ -11,10 +11,11 @@
 //! it touches every chunk of every buffer in address order, which always
 //! produces maximally dense fault streams.
 //!
-//! A [`TouchModel`] closes the gap: it generates the chunk-granular touch
-//! sequence of one kernel invocation *in temporal order*, which the runtime
-//! replays through the UVM fault batcher
-//! ([`demand_touch_sequence`](hetsim_uvm::UvmSpace::demand_touch_sequence)).
+//! A [`TouchModel`] closes the gap: it streams the chunk-granular touch
+//! sequence of one kernel invocation *in temporal order* into a sink, and
+//! the runtime feeds each touch straight into the UVM fault batcher
+//! ([`touch_sequence`](hetsim_uvm::UvmSpace::touch_sequence)), so a round
+//! — 590k touches per kmeans kernel at Mega — is never materialized.
 //! Three archetypes cover the paper's irregular behaviours:
 //!
 //! * [`TouchModel::Frontier`] — data-dependent graph expansion ([`bfs`]):
@@ -120,18 +121,28 @@ fn chunks_of(b: &BufferSpec, chunk_size: u64) -> u64 {
 }
 
 impl TouchModel {
-    /// The touch sequence of `kernel`'s `invocation`-th launch, or `None`
-    /// when the model has converged (no further rounds add anything).
+    /// Streams the touch sequence of `kernel`'s `invocation`-th launch into
+    /// `sink`, in temporal order. Returns `false`, emitting nothing, when
+    /// the model has converged (no further rounds add anything) — the
+    /// contract of [`GpuProgram::for_each_page_touch`](hetsim_runtime::GpuProgram::for_each_page_touch).
     ///
     /// Deterministic in `(workload, kernel, invocation, chunk_size)`.
-    pub fn touches(
+    pub fn emit(
         &self,
         workload: &str,
         kernel: usize,
         invocation: u64,
         chunk_size: u64,
         buffers: &[BufferSpec],
-    ) -> Option<Vec<PageTouch>> {
+        sink: &mut dyn FnMut(PageTouch),
+    ) -> bool {
+        let mut touch = |buffer, chunk, write| {
+            sink(PageTouch {
+                buffer,
+                chunk,
+                write,
+            })
+        };
         match *self {
             TouchModel::Frontier {
                 graph,
@@ -141,7 +152,7 @@ impl TouchModel {
                 levels,
             } => {
                 if invocation >= levels {
-                    return None;
+                    return false;
                 }
                 let mut rng = SimRng::seed_from_parts(
                     &["hetsim.touch", workload, "frontier"],
@@ -151,40 +162,21 @@ impl TouchModel {
                 let n_off = chunks_of(&buffers[offsets], chunk_size);
                 let n_vis = chunks_of(&buffers[visited], chunk_size);
                 let n_out = chunks_of(&buffers[out], chunk_size);
-                let frontier = frontier_size(invocation, n_graph);
-                let mut seq = Vec::new();
-                for e in 0..frontier {
+                for e in 0..frontier_size(invocation, n_graph) {
                     // Consult the row offsets for this vertex.
-                    seq.push(PageTouch {
-                        buffer: offsets,
-                        chunk: rng.below(n_off),
-                        write: false,
-                    });
+                    touch(offsets, rng.below(n_off), false);
                     // Walk a short, data-dependent run of adjacency chunks.
                     let run = 1 + rng.below(3);
                     let start = rng.below(n_graph);
                     for r in 0..run {
-                        seq.push(PageTouch {
-                            buffer: graph,
-                            chunk: (start + r) % n_graph,
-                            write: false,
-                        });
+                        touch(graph, (start + r) % n_graph, false);
                     }
                     // Mark the vertex visited.
-                    seq.push(PageTouch {
-                        buffer: visited,
-                        chunk: rng.below(n_vis),
-                        write: true,
-                    });
+                    touch(visited, rng.below(n_vis), true);
                     if e % 4 == 0 {
-                        seq.push(PageTouch {
-                            buffer: out,
-                            chunk: rng.below(n_out),
-                            write: true,
-                        });
+                        touch(out, rng.below(n_out), true);
                     }
                 }
-                Some(seq)
             }
             TouchModel::Retouch {
                 data,
@@ -196,7 +188,7 @@ impl TouchModel {
                 table_interval,
             } => {
                 if invocation >= passes {
-                    return None;
+                    return false;
                 }
                 let mut rng = SimRng::seed_from_parts(
                     &["hetsim.touch", workload, "retouch"],
@@ -208,7 +200,6 @@ impl TouchModel {
                 let lanes = lanes.max(1);
                 let burst = burst.max(1);
                 let lane_len = n_data.div_ceil(lanes);
-                let mut seq = Vec::new();
                 let mut emitted = 0u64;
                 let mut turn = 0u64;
                 loop {
@@ -222,25 +213,13 @@ impl TouchModel {
                         }
                         any = true;
                         for c in s..(s + burst).min(lane_end) {
-                            seq.push(PageTouch {
-                                buffer: data,
-                                chunk: c,
-                                write: false,
-                            });
+                            touch(data, c, false);
                             emitted += 1;
                             if emitted.is_multiple_of(table_interval.max(1)) {
-                                seq.push(PageTouch {
-                                    buffer: table,
-                                    chunk: rng.below(n_table),
-                                    write: false,
-                                });
+                                touch(table, rng.below(n_table), false);
                             }
                             if c % 8 == 0 {
-                                seq.push(PageTouch {
-                                    buffer: out,
-                                    chunk: c * n_out / n_data,
-                                    write: true,
-                                });
+                                touch(out, c * n_out / n_data, true);
                             }
                         }
                     }
@@ -253,13 +232,8 @@ impl TouchModel {
                 // accumulated means back to the shared table (which is why
                 // the table buffer is InOut, not Input).
                 for t in 0..n_table {
-                    seq.push(PageTouch {
-                        buffer: table,
-                        chunk: t,
-                        write: true,
-                    });
+                    touch(table, t, true);
                 }
-                Some(seq)
             }
             TouchModel::Wavefront {
                 grid,
@@ -268,45 +242,32 @@ impl TouchModel {
                 halo_chunks,
             } => {
                 if invocation >= rows {
-                    return None;
+                    return false;
                 }
                 let n_grid = chunks_of(&buffers[grid], chunk_size);
                 let n_out = chunks_of(&buffers[out], chunk_size);
                 let band = n_grid.div_ceil(rows).max(1);
                 let start = invocation * band;
                 if start >= n_grid {
-                    return None;
+                    return false;
                 }
                 let end = if invocation == rows - 1 {
                     n_grid
                 } else {
                     (start + band).min(n_grid)
                 };
-                let mut seq = Vec::new();
                 // Halo: the tail of the previous band stays live as input
                 // to this one.
                 for h in start.saturating_sub(halo_chunks)..start {
-                    seq.push(PageTouch {
-                        buffer: grid,
-                        chunk: h,
-                        write: false,
-                    });
+                    touch(grid, h, false);
                 }
                 for c in start..end {
-                    seq.push(PageTouch {
-                        buffer: grid,
-                        chunk: c,
-                        write: false,
-                    });
+                    touch(grid, c, false);
                 }
-                seq.push(PageTouch {
-                    buffer: out,
-                    chunk: (invocation * n_out / rows).min(n_out - 1),
-                    write: true,
-                });
-                Some(seq)
+                touch(out, (invocation * n_out / rows).min(n_out - 1), true);
             }
         }
+        true
     }
 }
 
@@ -388,6 +349,13 @@ mod tests {
 
     const CHUNK: u64 = 64 << 10;
 
+    /// Round `invocation` of kernel 0, collected; `None` once converged.
+    fn collect(m: &TouchModel, invocation: u64, buffers: &[BufferSpec]) -> Option<Vec<PageTouch>> {
+        let mut seq = Vec::new();
+        m.emit("t", 0, invocation, CHUNK, buffers, &mut |t| seq.push(t))
+            .then_some(seq)
+    }
+
     #[test]
     fn bfs_buffers_cover_footprint() {
         let w = bfs(InputSize::Large);
@@ -464,7 +432,7 @@ mod tests {
             burst: 2,
             table_interval: 5,
         };
-        let seq = m.touches("t", 0, 0, CHUNK, &buffers).unwrap();
+        let seq = collect(&m, 0, &buffers).unwrap();
         let mut data_chunks: Vec<u64> = seq
             .iter()
             .filter(|t| t.buffer == 0)
@@ -474,7 +442,7 @@ mod tests {
         data_chunks.dedup();
         assert_eq!(data_chunks.len(), 100, "every data chunk touched");
         assert!(seq.iter().any(|t| t.buffer == 1), "table consulted");
-        assert!(m.touches("t", 0, 3, CHUNK, &buffers).is_none());
+        assert!(collect(&m, 3, &buffers).is_none());
     }
 
     #[test]
@@ -493,7 +461,7 @@ mod tests {
             burst: 2,
             table_interval: 1000,
         };
-        let seq = m.touches("t", 0, 0, CHUNK, &buffers).unwrap();
+        let seq = collect(&m, 0, &buffers).unwrap();
         let data: Vec<u64> = seq
             .iter()
             .filter(|t| t.buffer == 0)
@@ -515,10 +483,10 @@ mod tests {
             rows: 30,
             halo_chunks: 2,
         };
-        let first = m.touches("t", 0, 0, CHUNK, &buffers).unwrap();
+        let first = collect(&m, 0, &buffers).unwrap();
         // Band 0 has no previous band, so no halo.
         assert_eq!(first.iter().filter(|t| t.buffer == 0).count(), 3);
-        let second = m.touches("t", 0, 1, CHUNK, &buffers).unwrap();
+        let second = collect(&m, 1, &buffers).unwrap();
         let grid: Vec<u64> = second
             .iter()
             .filter(|t| t.buffer == 0)
@@ -528,13 +496,13 @@ mod tests {
         assert_eq!(grid, vec![1, 2, 3, 4, 5]);
         // All 30 bands together cover the grid exactly once (plus halo).
         let mut all: Vec<u64> = (0..30)
-            .flat_map(|i| m.touches("t", 0, i, CHUNK, &buffers).unwrap())
+            .flat_map(|i| collect(&m, i, &buffers).unwrap())
             .filter(|t| t.buffer == 0)
             .map(|t| t.chunk)
             .collect();
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 90);
-        assert!(m.touches("t", 0, 30, CHUNK, &buffers).is_none());
+        assert!(collect(&m, 30, &buffers).is_none());
     }
 }

@@ -376,19 +376,23 @@ impl GpuProgram for Workload {
         self.prefetch_conflict
     }
 
-    fn page_touches(
+    fn for_each_page_touch(
         &self,
         kernel: usize,
         invocation: u64,
         chunk_size: u64,
-    ) -> Option<Vec<PageTouch>> {
-        self.touch_model.as_ref()?.touches(
-            &self.name,
-            kernel,
-            invocation,
-            chunk_size,
-            &self.buffers,
-        )
+        sink: &mut dyn FnMut(PageTouch),
+    ) -> bool {
+        self.touch_model.as_ref().is_some_and(|m| {
+            m.emit(
+                &self.name,
+                kernel,
+                invocation,
+                chunk_size,
+                &self.buffers,
+                sink,
+            )
+        })
     }
 }
 

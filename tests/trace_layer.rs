@@ -88,8 +88,13 @@ fn irregular_fault_sequences_are_deterministic_and_observer_invariant() {
 
         // The raw touch sequence is byte-identical across calls.
         let chunk = 2 << 20;
-        let a = model.touches(name, 0, 0, chunk, &w.buffers());
-        let b = model.touches(name, 0, 0, chunk, &w.buffers());
+        let round = || {
+            let mut seq = Vec::new();
+            model
+                .emit(name, 0, 0, chunk, &w.buffers(), &mut |t| seq.push(t))
+                .then_some(seq)
+        };
+        let (a, b) = (round(), round());
         assert_eq!(a, b, "{name}: touch sequence must be reproducible");
         assert!(
             a.expect("first invocation is modelled").len() > 1,
