@@ -30,10 +30,10 @@
 //! (`run`, `micro`, `apps`, `irregular`, `figures`) accept
 //! `--verify-specs` to run the same checks before burning compute.
 //!
-//! `advise` runs the static performance advisor: per workload it ranks
-//! all five transfer modes by predicted cost (alloc/memcpy/kernel, with a
-//! one-line rationale each) and reports the `SAN-P*` advisory lints —
-//! again with no simulation. `--format json` emits an array of advice
+//! `advise` runs the transfer-mode advisor: per workload it ranks all
+//! five transfer modes by the cost of their noise-free base runs
+//! (alloc/memcpy/kernel, with a one-line rationale each) and reports the
+//! `SAN-P*` advisory lints. `--format json` emits an array of advice
 //! objects whose shape is pinned by a CI golden test.
 //!
 //! `trace` records one deterministic run as a structured sim-time trace
@@ -225,8 +225,8 @@ fn print_usage() {
          commands:\n\
          \u{20}  list                               list every registered workload\n\
          \u{20}  check [--all | W] [--deny warnings] static spec sanitizer (no simulation)\n\
-         \u{20}  advise [--all | W] [--size S]      static transfer-mode advisor (no simulation):\n\
-         \u{20}         [--deny warnings]           per-mode cost ranking + SAN-P lints\n\
+         \u{20}  advise [--all | W] [--size S]      transfer-mode advisor: modes ranked by\n\
+         \u{20}         [--deny warnings]           base-run cost, rationale + SAN-P lints\n\
          \u{20}  run W [--size S] [--mode M]        compare modes (or run one) for a workload\n\
          \u{20}  micro [--size S]                   Fig 7: the microbenchmark suite\n\
          \u{20}  apps [--size S]                    Fig 8: the application suite\n\
@@ -401,10 +401,10 @@ fn cmd_check(args: &Args) -> Result<(), String> {
     }
 }
 
-/// The `advise` subcommand: runs the static performance advisor over one
-/// workload or (with `--all`, or no operand) the full registry — no
-/// simulation — printing each workload's per-mode cost ranking with
-/// rationale plus any `SAN-P*` advisory lints. JSON output is an array of
+/// The `advise` subcommand: runs the transfer-mode advisor over one
+/// workload or (with `--all`, or no operand) the full registry, printing
+/// each workload's per-mode base-run cost ranking with rationale plus
+/// any `SAN-P*` advisory lints. JSON output is an array of
 /// advice objects (one per workload); the shape is pinned by a CI golden
 /// test. `--deny warnings` exits non-zero when any advisory fires.
 fn cmd_advise(args: &Args) -> Result<(), String> {

@@ -17,7 +17,7 @@ pub fn check_program(program: &dyn hetsim_runtime::GpuProgram) -> Report {
     hetsim_sanitizer::check_program(program, &CheckConfig::default())
 }
 
-/// Runs the static performance advisor on one program with the default
+/// Runs the performance advisor on one program with the default
 /// [`PerfConfig`] (see [`hetsim_sanitizer::advise`]).
 pub fn advise_program(program: &dyn hetsim_runtime::GpuProgram, device: &Device) -> ModeAdvice {
     hetsim_sanitizer::advise(program, device, &PerfConfig::default())

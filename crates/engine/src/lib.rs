@@ -7,8 +7,7 @@
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`], [`Nanos`])
 //!   and clock-domain conversion ([`ClockDomain`]);
 //! * [`event`] — a deterministic, stable-ordered event queue
-//!   ([`EventQueue`]) plus a busy-interval tracker ([`resource::BusyTracker`])
-//!   for utilization/occupancy accounting;
+//!   ([`EventQueue`]);
 //! * [`rng`] — a tiny, fully deterministic SplitMix64 RNG ([`rng::SimRng`])
 //!   so that a run is a pure function of its seed;
 //! * [`stats`] — the summary statistics the paper's methodology section
@@ -31,7 +30,6 @@
 
 pub mod bandwidth;
 pub mod event;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -40,7 +38,6 @@ pub mod time;
 pub mod prelude {
     pub use crate::bandwidth::{Bandwidth, Latency};
     pub use crate::event::EventQueue;
-    pub use crate::resource::BusyTracker;
     pub use crate::rng::SimRng;
     pub use crate::stats::Summary;
     pub use crate::time::{ClockDomain, Nanos, SimTime};
@@ -48,7 +45,6 @@ pub mod prelude {
 
 pub use bandwidth::{Bandwidth, Latency};
 pub use event::EventQueue;
-pub use resource::BusyTracker;
 pub use rng::SimRng;
 pub use stats::Summary;
 pub use time::{ClockDomain, Nanos, SimTime};

@@ -31,47 +31,6 @@ fn event_queue_total_order() {
     }
 }
 
-/// Busy time within a window never exceeds the window, regardless of how
-/// intervals overlap.
-#[test]
-fn busy_tracker_bounded() {
-    let mut rng = SimRng::seed_from_parts(&["props", "busy_tracker_bounded"], 0);
-    for _ in 0..CASES {
-        let n = rng.below(50) as usize;
-        let mut b = BusyTracker::new();
-        for _ in 0..n {
-            let s = rng.below(500);
-            let d = rng.below(500);
-            b.record_for(SimTime::from_nanos(s), Nanos::from_nanos(d));
-        }
-        let window = Nanos::from_nanos(500 + 500);
-        let busy = b.busy_within(SimTime::ZERO, SimTime::ZERO + window);
-        assert!(busy <= window);
-        let util = b.utilization(SimTime::ZERO, SimTime::ZERO + window);
-        assert!((0.0..=1.0).contains(&util));
-    }
-}
-
-/// Merging overlapping recordings never reports less busy time than the
-/// single longest interval.
-#[test]
-fn busy_tracker_lower_bound() {
-    let mut rng = SimRng::seed_from_parts(&["props", "busy_tracker_lower_bound"], 0);
-    for _ in 0..CASES {
-        let n = rng.range(1, 50) as usize;
-        let mut b = BusyTracker::new();
-        let mut longest = 0u64;
-        for _ in 0..n {
-            let s = rng.below(500);
-            let d = rng.range(1, 500);
-            b.record_for(SimTime::from_nanos(s), Nanos::from_nanos(d));
-            longest = longest.max(d);
-        }
-        let busy = b.busy_within(SimTime::ZERO, SimTime::from_nanos(1_000));
-        assert!(busy.as_nanos() >= longest.min(1_000));
-    }
-}
-
 /// SimRng stays deterministic under forking and in-range for bounds.
 #[test]
 fn rng_bounds() {

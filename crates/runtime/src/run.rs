@@ -10,10 +10,11 @@ use hetsim_counters::{CounterSet, Occupancy};
 use hetsim_engine::rng::SimRng;
 use hetsim_engine::time::Nanos;
 use hetsim_gpu::exec::{ExecEnv, KernelExecutor};
+use hetsim_gpu::kernel::KernelModel;
 use hetsim_mem::addr::Addr;
 use hetsim_mem::link::LinkPath;
 use hetsim_trace::{Category, Dim};
-use hetsim_uvm::prefetch::PrefetchModel;
+use hetsim_uvm::prefetch::{PrefetchModel, Regularity};
 use hetsim_uvm::space::UvmSpace;
 use hetsim_uvm::{ChunkId, ChunkTouch};
 use std::borrow::Cow;
@@ -66,7 +67,33 @@ fn trace_phase(cat: Category, name: impl Into<Cow<'static, str>>, dur: Nanos) {
 /// through the temporal touch path. Touch models signal convergence by
 /// returning `false` well before this; the cap only bounds pathological
 /// models.
-const MAX_SEQUENCED_ROUNDS: u64 = 64;
+pub const MAX_SEQUENCED_ROUNDS: u64 = 64;
+
+/// Workload-level access regularity: the least regular kernel decides how
+/// well the prefetcher does (§4.1.2).
+fn least_regular(kernels: &[&dyn KernelModel]) -> Regularity {
+    kernels
+        .iter()
+        .map(|k| k.regularity())
+        .max_by(|a, b| {
+            a.residual_fault_fraction()
+                .partial_cmp(&b.residual_fault_fraction())
+                .expect("finite fractions")
+        })
+        .expect("at least one kernel")
+}
+
+/// Fraction of each input buffer the prefetch modes move ahead of the
+/// kernels: the prefetcher's coverage of the least regular kernel,
+/// derated by the program's inter-kernel prefetch conflict.
+///
+/// # Panics
+///
+/// Panics if the program has no kernels.
+pub fn prefetch_coverage(program: &dyn GpuProgram) -> f64 {
+    PrefetchModel::conflicting(program.prefetch_conflict())
+        .effective_coverage(least_regular(&program.kernels()))
+}
 
 /// Runs programs on a simulated device.
 ///
@@ -173,6 +200,21 @@ impl Runner {
     /// touch model names a buffer it does not have; the fallible path
     /// returns [`SimError::InvalidProgram`] instead, with the same message.
     pub fn run_base(&self, program: &dyn GpuProgram, mode: TransferMode) -> RunReport {
+        self.run_base_with_stall(program, mode).0
+    }
+
+    /// [`Runner::run_base`] plus the fault-service stall it exposed as
+    /// kernel inflation: the sum of the per-kernel `fault_stall` phases,
+    /// each rounded on its own. Zero in the explicit-copy modes.
+    ///
+    /// # Panics
+    ///
+    /// As [`Runner::run_base`].
+    pub fn run_base_with_stall(
+        &self,
+        program: &dyn GpuProgram,
+        mode: TransferMode,
+    ) -> (RunReport, Nanos) {
         let mut ctx = ChaosCtx::inert();
         self.base_pipeline(program, mode, &mut ctx)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -213,7 +255,7 @@ impl Runner {
         let mut abandoned = Nanos::ZERO;
         loop {
             let mut ctx = ChaosCtx::new(&plan, &policy, &[program.name(), attempt_mode.name()]);
-            let mut report = self.base_pipeline(program, attempt_mode, &mut ctx)?;
+            let (mut report, _) = self.base_pipeline(program, attempt_mode, &mut ctx)?;
 
             // Sustained thrashing (injected refaults per chunk-kernel
             // site above the policy threshold) abandons the attempt and
@@ -258,12 +300,14 @@ impl Runner {
     /// booked in `ctx` along the way and applied to the components once,
     /// after occupancy is derived from the clean breakdown (so recovered
     /// runs keep fault-free counters — the separability invariant).
+    /// Returns the report with the exposed fault stall of
+    /// [`Runner::run_base_with_stall`].
     fn base_pipeline(
         &self,
         program: &dyn GpuProgram,
         mode: TransferMode,
         ctx: &mut ChaosCtx,
-    ) -> Result<RunReport, SimError> {
+    ) -> Result<(RunReport, Nanos), SimError> {
         let dev = &self.device;
         // Every event this attempt records carries the device and mode as
         // label dimensions, so multi-mode traces slice per mode without
@@ -305,10 +349,12 @@ impl Runner {
         }
 
         let mut counters = CounterSet::new();
-        let (memcpy, kernel) = if mode.uses_uvm() {
+        let (memcpy, kernel, fault_stall) = if mode.uses_uvm() {
             self.run_uvm(program, mode, &buffers, &kernels, &mut counters, ctx)?
         } else {
-            self.run_explicit(mode, &buffers, &kernels, &mut counters, ctx)?
+            let (memcpy, kernel) =
+                self.run_explicit(mode, &buffers, &kernels, &mut counters, ctx)?;
+            (memcpy, kernel, Nanos::ZERO)
         };
 
         // Freeing managed memory whose pages were demand-migrated tears
@@ -347,7 +393,7 @@ impl Runner {
         report.memcpy += overhead.memcpy;
         report.kernel += overhead.kernel;
         report.system += overhead.system;
-        Ok(report)
+        Ok((report, fault_stall))
     }
 
     /// Applies one run's measurement noise to a noise-free base report:
@@ -384,7 +430,7 @@ impl Runner {
         &self,
         mode: TransferMode,
         buffers: &[BufferSpec],
-        kernels: &[&dyn hetsim_gpu::kernel::KernelModel],
+        kernels: &[&dyn KernelModel],
         counters: &mut CounterSet,
         ctx: &mut ChaosCtx,
     ) -> Result<(Nanos, Nanos), SimError> {
@@ -449,10 +495,10 @@ impl Runner {
         program: &dyn GpuProgram,
         mode: TransferMode,
         buffers: &[BufferSpec],
-        kernels: &[&dyn hetsim_gpu::kernel::KernelModel],
+        kernels: &[&dyn KernelModel],
         counters: &mut CounterSet,
         ctx: &mut ChaosCtx,
-    ) -> Result<(Nanos, Nanos), SimError> {
+    ) -> Result<(Nanos, Nanos, Nanos), SimError> {
         let dev = &self.device;
         // Same lane labeling as the explicit path: migration and prefetch
         // traffic rides the `h2d` lane, writebacks and evictions `d2h`,
@@ -469,20 +515,10 @@ impl Runner {
 
         let mut memcpy = Nanos::ZERO;
         let mut kernel = Nanos::ZERO;
+        let mut fault_stall = Nanos::ZERO;
 
-        // Workload-level access regularity: the least regular kernel
-        // decides how well the prefetcher does (§4.1.2).
-        let regularity = kernels
-            .iter()
-            .map(|k| k.regularity())
-            .max_by(|a, b| {
-                a.residual_fault_fraction()
-                    .partial_cmp(&b.residual_fault_fraction())
-                    .expect("finite fractions")
-            })
-            .expect("at least one kernel");
-        let prefetch_model = PrefetchModel::conflicting(program.prefetch_conflict());
-        let coverage = prefetch_model.effective_coverage(regularity);
+        let regularity = least_regular(kernels);
+        let coverage = prefetch_coverage(program);
 
         let translation = if mode.uses_prefetch() {
             // Prefetch resolves most mappings ahead of time; a residue of
@@ -664,6 +700,7 @@ impl Runner {
             let exposed = stall.scale(1.0 / dev.fault_stall_overlap);
             trace_phase(Category::Kernel, "fault_stall", exposed);
             kernel += exposed;
+            fault_stall += exposed;
 
             // Injected fault-storm pressure: synthetic refaults against
             // this kernel's working set, costed through the same batched
@@ -724,7 +761,7 @@ impl Runner {
         memcpy += space.eviction_transfer();
 
         counters.uvm += space.counters();
-        Ok((memcpy, kernel))
+        Ok((memcpy, kernel, fault_stall))
     }
 }
 

@@ -8,7 +8,7 @@ use std::fmt;
 /// Codes are grouped by the description layer they inspect: `SAN-S*` for
 /// stream schedules, `SAN-B*` for buffer specs, `SAN-T*` for page-touch
 /// sequences, `SAN-M*` for transfer-mode compatibility, and `SAN-P*` for
-/// the static performance advisor (see `crate::perf`). Codes are part of
+/// the performance advisor (see `crate::perf`). Codes are part of
 /// the CLI contract (`hetsim check --format json`) and never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lint {
@@ -466,7 +466,7 @@ fn span_json(span: &Span) -> String {
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

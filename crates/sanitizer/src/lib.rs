@@ -25,10 +25,10 @@
 //!   [`ScheduleOutcome`](hetsim_runtime::stream::ScheduleOutcome)
 //!   (`SAN-S004`).
 //!
-//! Beyond correctness, [`advise`] runs the static *performance* advisor:
-//! it predicts each transfer mode's cost from workload structure alone,
-//! ranks all five modes, and emits the advisory `SAN-P*` lint family
-//! (see [`perf`]). The CLI exposes it as `hetsim advise`.
+//! Beyond correctness, [`advise`] runs the *performance* advisor: it
+//! ranks all five transfer modes by their noise-free base runs, explains
+//! the ranking, and emits the advisory `SAN-P*` lint family (see
+//! [`perf`]). The CLI exposes it as `hetsim advise`.
 //!
 //! Reports render as rustc-style text ([`Report::to_text`]) or JSON
 //! ([`Report::to_json`]), and [`Report::is_clean`] implements the
@@ -82,16 +82,12 @@ pub struct CheckConfig {
     /// count for the out-of-bounds lint. Defaults to the A100 UVM chunk
     /// size the runtime migrates at.
     pub chunk_size: u64,
-    /// Cap on touch-sequence rounds inspected per kernel, mirroring the
-    /// runtime's own bound on sequenced rounds.
-    pub max_rounds: u64,
 }
 
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             chunk_size: hetsim_uvm::page::CHUNK_SIZE,
-            max_rounds: 64,
         }
     }
 }

@@ -1,20 +1,15 @@
-//! Static performance analysis: the transfer-mode advisor (`SAN-P*`).
+//! Performance analysis: the transfer-mode advisor (`SAN-P*`).
 //!
-//! [`advise`] predicts, per workload × device, what each of the five
-//! [`TransferMode`]s would cost — alloc, transfer, and kernel time —
-//! *without running the simulator*. It does so by evaluating the same
-//! closed-form cost primitives the runtime composes (link transfer times,
-//! fault-batch service stalls, the analytic kernel executor, the affine
-//! allocation model) over an independent mirror of the UVM residency state
-//! machine: per-buffer chunk bitmaps driven by prefix prefetch, trailing
-//! displacement, address-ordered range walks, and exact replay of
-//! touch streams through a [`FaultBatcher`].
-//!
-//! Because the mirror is a from-scratch reimplementation of the runtime's
-//! memory-state evolution, agreement with the simulator is a *checkable
-//! property*, not a tautology — `tests/advisor_validation.rs` sweeps the
-//! whole workload registry and asserts the advisor's top-ranked mode
-//! matches the measured winner.
+//! [`advise`] ranks, per workload × device, the five [`TransferMode`]s by
+//! what each costs — alloc, transfer, and kernel time — in the runtime's
+//! own noise-free base run ([`Runner::run_base_with_stall`]). The paper's
+//! modes differ only in how UVM prefetch, fault batching, and `cp.async`
+//! staging price the same work, so the ranking is the simulator's, exact
+//! to the nanosecond; the advisor adds the explanation around it: each
+//! mode's exposed fault stall and a one-line rationale, three structural
+//! analyses, and advisory lints. `tests/advisor_validation.rs` sweeps the
+//! workload registry and pins every predicted breakdown and fault stall
+//! against the simulator.
 //!
 //! Three analyses feed the [`ModeAdvice`] verdict:
 //!
@@ -23,8 +18,9 @@
 //!   hide behind kernels), and whether `cp.async` staging actually speeds
 //!   the kernels up.
 //! * [`DataflowAnalysis`] — buffer dataflow over the touch streams:
-//!   touch density, mean chunk reuse distance, predicted fault-batch fill,
-//!   and the thrash onset from footprint vs. the HBM carveout.
+//!   touch density, mean chunk reuse distance, fault-batch fill under
+//!   plain demand paging, and the thrash onset from footprint vs. the HBM
+//!   carveout.
 //! * [`BudgetCheck`] — oversubscription ratio and the pinned-staging
 //!   budget async modes would consume.
 //!
@@ -35,26 +31,16 @@
 //!
 //! # Known blind spots
 //!
-//! The mirror models no LRU capacity eviction: footprints at or under the
-//! device carveout never evict, and beyond it the advisor flags
-//! `SAN-P003` instead of simulating the thrash (see `docs/SANITIZER.md`).
 //! Measurement noise (jitter, host chip placement) is out of scope — the
-//! advisor predicts the noise-free base run.
+//! advisor ranks the noise-free base run. `SAN-P003` reports the thrash
+//! share from footprint vs. carveout alone; the ranking itself includes
+//! whatever LRU eviction the runtime performs.
 
-use crate::diag::{Diagnostic, Lint, Report, Span};
+use crate::diag::{escape, Diagnostic, Lint, Report, Span};
 use hetsim_engine::time::Nanos;
-use hetsim_gpu::exec::{ExecEnv, KernelExecutor};
-use hetsim_mem::link::{CpuGpuLink, LinkPath};
-use hetsim_mem::tlb::TlbConfig;
 use hetsim_runtime::program::{BufferRole, BufferSpec, GpuProgram};
-use hetsim_runtime::{Device, TransferMode};
-use hetsim_uvm::fault::FaultConfig;
-use hetsim_uvm::prefetch::PrefetchModel;
-use hetsim_uvm::touch::{FaultBatcher, TouchConfig};
-
-/// Upper bound on sequenced touch rounds replayed per kernel, mirroring
-/// the runtime's own cap.
-const MAX_SEQUENCED_ROUNDS: u64 = 64;
+use hetsim_runtime::run::{prefetch_coverage, MAX_SEQUENCED_ROUNDS};
+use hetsim_runtime::{Device, RunReport, Runner, TransferMode};
 
 /// Knobs for [`advise`].
 #[derive(Debug, Clone)]
@@ -81,25 +67,26 @@ impl Default for PerfConfig {
     }
 }
 
-/// Predicted cost breakdown of one transfer mode.
+/// Cost breakdown of one transfer mode, from its noise-free base run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModePrediction {
     /// The mode this prediction is for.
     pub mode: TransferMode,
-    /// Predicted allocation (+teardown) time.
+    /// Allocation (+teardown) time.
     pub alloc: Nanos,
-    /// Predicted transfer time (copies, prefetch, migration, writeback).
+    /// Transfer time (copies, prefetch, migration, writeback).
     pub memcpy: Nanos,
-    /// Predicted kernel time, including the exposed fault-stall residue.
+    /// Kernel time, including the exposed fault stall.
     pub kernel: Nanos,
-    /// Fault-service stall exposed as kernel inflation (zero outside UVM).
+    /// Fault-service stall exposed as kernel inflation, summed over kernels
+    /// (zero outside UVM).
     pub fault_stall: Nanos,
     /// One-line explanation of where this mode's time goes.
     pub rationale: String,
 }
 
 impl ModePrediction {
-    /// Total predicted time (alloc + memcpy + kernel; the constant system
+    /// Total time (alloc + memcpy + kernel; the constant system
     /// overhead is mode-independent and excluded from the ranking metric).
     pub fn total(&self) -> Nanos {
         self.alloc + self.memcpy + self.kernel
@@ -143,9 +130,9 @@ pub struct DataflowAnalysis {
     /// Mean distance (in touches) between successive touches of the same
     /// chunk; zero when no chunk is revisited.
     pub mean_reuse_distance: f64,
-    /// Predicted mean fault-batch fill under plain demand paging (out of
-    /// the device's batch capacity; low fill pays the fixed batch latency
-    /// over few faults).
+    /// Mean fault-batch fill of the plain `uvm` base run (out of the
+    /// device's batch capacity; low fill pays the fixed batch latency over
+    /// few faults).
     pub mean_batch_fill: f64,
     /// Footprint over the device HBM carveout.
     pub oversubscription: f64,
@@ -209,8 +196,8 @@ impl ModeAdvice {
         let _ = write!(
             out,
             "\"workload\":\"{}\",\"device\":\"{}\",\"best\":\"{}\",\"ranked\":[",
-            json_escape(&self.workload),
-            json_escape(self.device),
+            escape(&self.workload),
+            escape(self.device),
             self.best().mode.name()
         );
         for (i, p) in self.ranked.iter().enumerate() {
@@ -226,7 +213,7 @@ impl ModeAdvice {
                 p.kernel.as_nanos(),
                 p.fault_stall.as_nanos(),
                 p.total().as_nanos(),
-                json_escape(&p.rationale),
+                escape(&p.rationale),
             );
         }
         let o = &self.overlap;
@@ -279,486 +266,39 @@ fn json_f64(f: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// The UVM residency mirror.
-// ---------------------------------------------------------------------------
-
-/// One resolved touch against the mirror's buffer layout.
-#[derive(Debug, Clone, Copy)]
-struct MirrorTouch {
-    buffer: usize,
-    chunk: u64,
-    write: bool,
-    host_backed: bool,
-}
-
-/// Per-buffer chunk residency/dirty bitmaps, laid out at the same
-/// chunk-aligned bases the runtime uses (`(i+1) << 42`).
-struct BufMirror {
-    base_chunk: u64,
-    nchunks: u64,
-    resident: Vec<bool>,
-    dirty: Vec<bool>,
-}
-
-/// An independent mirror of the UVM space's state machine, priced with
-/// the link's pure time queries. No LRU/capacity eviction is modelled —
-/// the advisor's documented blind spot.
-struct UvmMirror<'a> {
-    chunk_size: u64,
-    fault: FaultConfig,
-    touch: TouchConfig,
-    link: &'a CpuGpuLink,
-    bufs: Vec<BufMirror>,
-    migrated: u64,
-    prefetched: u64,
-    heuristic: u64,
-    /// Every fault-batch fill observed, for [`DataflowAnalysis`].
-    fills: Vec<u64>,
-}
-
-impl<'a> UvmMirror<'a> {
-    fn new(device: &'a Device, buffers: &[BufferSpec]) -> Self {
-        let chunk_size = device.uvm.chunk_size;
-        let bufs = buffers
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let base = (i as u64 + 1) << 42;
-                let nchunks = if b.bytes == 0 {
-                    0
-                } else {
-                    b.bytes.div_ceil(chunk_size)
-                };
-                BufMirror {
-                    base_chunk: base / chunk_size,
-                    nchunks,
-                    resident: vec![false; nchunks as usize],
-                    dirty: vec![false; nchunks as usize],
-                }
-            })
-            .collect();
-        UvmMirror {
-            chunk_size,
-            fault: device.uvm.fault,
-            touch: device.uvm.touch,
-            link: &device.link,
-            bufs,
-            migrated: 0,
-            prefetched: 0,
-            heuristic: 0,
-            fills: Vec::new(),
-        }
-    }
-
-    /// `cudaMemPrefetchAsync` of a buffer's non-resident prefix.
-    fn prefetch_range(&mut self, bi: usize, coverage: f64) -> Nanos {
-        let b = &mut self.bufs[bi];
-        let pending: Vec<usize> = (0..b.nchunks as usize)
-            .filter(|&i| !b.resident[i])
-            .collect();
-        let n = (pending.len() as f64 * coverage).round() as usize;
-        let mut moved = 0u64;
-        for &i in pending.iter().take(n) {
-            b.resident[i] = true;
-            moved += 1;
-        }
-        if moved == 0 {
-            return Nanos::ZERO;
-        }
-        self.prefetched += moved;
-        self.link
-            .transfer_time(LinkPath::BulkPrefetch, moved * self.chunk_size)
-    }
-
-    /// Address-ordered demand walk of a whole buffer.
-    fn demand_touch_range(&mut self, bi: usize, write: bool, host_backed: bool) -> (Nanos, Nanos) {
-        let b = &mut self.bufs[bi];
-        let mut faulted = 0u64;
-        for i in 0..b.nchunks as usize {
-            if !b.resident[i] {
-                b.resident[i] = true;
-                faulted += 1;
-            }
-            b.dirty[i] = b.dirty[i] || write;
-        }
-        if faulted == 0 {
-            return (Nanos::ZERO, Nanos::ZERO);
-        }
-        let stall = self.fault.service_stall(faulted);
-        // An up-front sweep retires capacity-filled batches + a remainder.
-        let cap = self.fault.batch_capacity as u64;
-        let mut remaining = faulted;
-        while remaining > 0 {
-            let fill = remaining.min(cap);
-            self.fills.push(fill);
-            remaining -= fill;
-        }
-        let transfer = if host_backed {
-            self.migrated += faulted;
-            self.link.chunked_transfer_time(
-                LinkPath::DemandMigration,
-                faulted * self.chunk_size,
-                self.chunk_size * cap,
-            )
-        } else {
-            Nanos::ZERO
-        };
-        (stall, transfer)
-    }
-
-    /// Opens a temporal-order sequence replay.
-    fn touch_sequence(&mut self) -> MirrorSequence<'_, 'a> {
-        MirrorSequence {
-            batcher: FaultBatcher::new(self.fault, self.touch),
-            mirror: self,
-            spec_block: 1,
-            last_fault: None,
-            faulted: 0,
-            migrated: 0,
-        }
-    }
-
-    /// Which buffer (if any) owns global chunk index `gidx`.
-    fn owner(&self, gidx: u64) -> Option<(usize, usize)> {
-        for (bi, b) in self.bufs.iter().enumerate() {
-            if gidx >= b.base_chunk && gidx < b.base_chunk + b.nchunks {
-                return Some((bi, (gidx - b.base_chunk) as usize));
-            }
-        }
-        None
-    }
-
-    /// Displaces the trailing `fraction` of a buffer's resident chunks
-    /// back to the host (prefetch-conflict pathology), clearing dirty.
-    fn displace_fraction(&mut self, bi: usize, fraction: f64) {
-        let b = &mut self.bufs[bi];
-        let resident: Vec<usize> = (0..b.nchunks as usize).filter(|&i| b.resident[i]).collect();
-        let n = (resident.len() as f64 * fraction).round() as usize;
-        for &i in resident.iter().rev().take(n) {
-            b.resident[i] = false;
-            b.dirty[i] = false;
-        }
-    }
-
-    /// Writes a buffer's dirty resident chunks back, clearing dirty.
-    fn writeback_dirty(&mut self, bi: usize, path: LinkPath) -> Nanos {
-        let b = &mut self.bufs[bi];
-        let mut dirty = 0u64;
-        for i in 0..b.nchunks as usize {
-            if b.resident[i] && b.dirty[i] {
-                b.dirty[i] = false;
-                dirty += 1;
-            }
-        }
-        if dirty == 0 {
-            return Nanos::ZERO;
-        }
-        self.link.transfer_time(path, dirty * self.chunk_size)
-    }
-
-    /// `pages_migrated / (migrated + prefetched + heuristic)` — drives the
-    /// managed-teardown cost.
-    fn demand_fraction(&self) -> f64 {
-        let touched = self.migrated + self.prefetched + self.heuristic;
-        if touched == 0 {
-            0.0
-        } else {
-            self.migrated as f64 / touched as f64
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-mode prediction.
-// ---------------------------------------------------------------------------
-
-/// Everything one UVM-mode prediction produces beyond the breakdown.
-struct UvmOutcome {
-    memcpy: Nanos,
-    kernel: Nanos,
-    stall_exposed: Nanos,
-    coverage: f64,
-    demand_fraction: f64,
-    fills: Vec<u64>,
-}
-
 fn ms(n: Nanos) -> f64 {
     n.as_millis_f64()
 }
 
-/// A temporal-order sequence replay in progress against the mirror:
-/// partial batches via [`FaultBatcher`] plus the driver's region-growing
-/// speculation, fed one resolved touch at a time.
-struct MirrorSequence<'m, 'a> {
-    mirror: &'m mut UvmMirror<'a>,
-    batcher: FaultBatcher,
-    spec_block: u64,
-    last_fault: Option<u64>,
-    faulted: u64,
-    migrated: u64,
-}
-
-impl MirrorSequence<'_, '_> {
-    fn touch(&mut self, t: MirrorTouch) {
-        let m = &mut *self.mirror;
-        let b = &mut m.bufs[t.buffer];
-        let i = t.chunk as usize;
-        if b.resident[i] {
-            b.dirty[i] = b.dirty[i] || t.write;
-            self.batcher.hit();
-            return;
-        }
-        self.faulted += 1;
-        self.batcher.fault();
-        let gidx = b.base_chunk + t.chunk;
-        let adjacent = self
-            .last_fault
-            .is_some_and(|p| gidx.abs_diff(p) <= self.spec_block.max(4));
-        self.spec_block = if adjacent {
-            (self.spec_block * 2).min(m.touch.max_spec_block.max(1))
-        } else {
-            1
-        };
-        self.last_fault = Some(gidx);
-        b.resident[i] = true;
-        b.dirty[i] = b.dirty[i] || t.write;
-        if t.host_backed {
-            self.migrated += 1;
-        }
-        // The speculative block after the faulting chunk, clipped to
-        // managed ranges.
-        for c in gidx + 1..gidx + self.spec_block {
-            if let Some((bj, off)) = m.owner(c) {
-                let spec = &mut m.bufs[bj];
-                if !spec.resident[off] {
-                    spec.resident[off] = true;
-                    m.heuristic += 1;
-                    if t.host_backed {
-                        self.migrated += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The sequence's `(stall, transfer)`.
-    fn finish(self) -> (Nanos, Nanos) {
-        let m = self.mirror;
-        if self.faulted == 0 {
-            return (Nanos::ZERO, Nanos::ZERO);
-        }
-        let fills = self.batcher.finish();
-        let mut stall = Nanos::ZERO;
-        for &fill in &fills {
-            stall += m.fault.batch_latency + m.fault.per_fault * fill as u64;
-            m.fills.push(fill as u64);
-        }
-        let transfer = if self.migrated > 0 {
-            m.migrated += self.migrated;
-            m.link.chunked_transfer_time(
-                LinkPath::DemandMigration,
-                self.migrated * m.chunk_size,
-                m.chunk_size * m.fault.batch_capacity as u64,
-            )
-        } else {
-            Nanos::ZERO
-        };
-        (stall, transfer)
+/// One line on where `mode`'s time goes in its base run.
+fn rationale(mode: TransferMode, run: &RunReport, fault_stall: Nanos, coverage: f64) -> String {
+    match mode {
+        TransferMode::Standard => format!(
+            "explicit pageable copies {:.2} ms; kernels {:.2} ms",
+            ms(run.memcpy),
+            ms(run.kernel),
+        ),
+        TransferMode::Async => format!(
+            "explicit pageable copies {:.2} ms; cp.async staged kernels {:.2} ms",
+            ms(run.memcpy),
+            ms(run.kernel),
+        ),
+        TransferMode::Uvm => format!(
+            "demand paging migrates on touch: {:.2} ms transfer, {:.2} ms fault stall exposed",
+            ms(run.memcpy),
+            ms(fault_stall),
+        ),
+        TransferMode::UvmPrefetch | TransferMode::UvmPrefetchAsync => format!(
+            "prefetch covers {:.0}% of input chunks; {:.2} ms migration, {:.2} ms fault stall exposed",
+            coverage * 100.0,
+            ms(run.memcpy),
+            ms(fault_stall),
+        ),
     }
 }
 
-/// Predicts the explicit-copy path (`standard` / `async`).
-fn predict_explicit(
-    program: &dyn GpuProgram,
-    device: &Device,
-    executor: &KernelExecutor,
-    mode: TransferMode,
-    buffers: &[BufferSpec],
-) -> (Nanos, Nanos) {
-    let mut memcpy = Nanos::ZERO;
-    for b in buffers {
-        if b.role.is_input() {
-            memcpy += device.link.transfer_time(LinkPath::PageableCopy, b.bytes);
-        }
-        if b.role.is_output() {
-            memcpy += device.link.transfer_time(LinkPath::PageableCopy, b.bytes);
-        }
-    }
-    let env = ExecEnv::standard();
-    let mut kernel = Nanos::ZERO;
-    for k in program.kernels() {
-        let style = mode.kernel_style(k.standard_style());
-        let r = executor.execute(k, style, &env);
-        kernel += r.time * k.invocations().max(1);
-    }
-    (memcpy, kernel)
-}
-
-/// Predicts a managed-memory mode by driving the residency mirror through
-/// the same phase sequence the runtime executes.
-fn predict_uvm(
-    program: &dyn GpuProgram,
-    device: &Device,
-    executor: &KernelExecutor,
-    mode: TransferMode,
-    buffers: &[BufferSpec],
-) -> UvmOutcome {
-    let mut mirror = UvmMirror::new(device, buffers);
-    let kernels = program.kernels();
-    let mut memcpy = Nanos::ZERO;
-    let mut kernel = Nanos::ZERO;
-    let mut stall_exposed = Nanos::ZERO;
-
-    // Workload-level regularity: the least regular kernel decides.
-    let regularity = kernels
-        .iter()
-        .map(|k| k.regularity())
-        .max_by(|a, b| {
-            a.residual_fault_fraction()
-                .partial_cmp(&b.residual_fault_fraction())
-                .expect("finite fractions")
-        })
-        .expect("at least one kernel");
-    let prefetch_model = PrefetchModel::conflicting(program.prefetch_conflict());
-    let coverage = prefetch_model.effective_coverage(regularity);
-
-    let translation = if mode.uses_prefetch() {
-        1.0 + (regularity.uvm_translation_penalty() - 1.0) * 0.35
-    } else {
-        regularity.uvm_translation_penalty()
-    };
-    let l2_warm = if mode.uses_prefetch() {
-        device.l2_warm_fraction() * coverage.powi(4)
-    } else {
-        0.0
-    };
-    let tlb = if mode.uses_prefetch() {
-        TlbConfig::a100_uvm_coalesced()
-    } else {
-        TlbConfig::a100_uvm()
-    };
-    let env = ExecEnv::new(translation, l2_warm).with_tlb(tlb);
-
-    if mode.uses_prefetch() {
-        for (bi, b) in buffers.iter().enumerate() {
-            if b.role.is_input() {
-                memcpy += mirror.prefetch_range(bi, coverage);
-            }
-        }
-    }
-
-    for (ki, k) in kernels.iter().enumerate() {
-        let mut conflict_stall = Nanos::ZERO;
-        let mut conflict_transfer = Nanos::ZERO;
-        if ki > 0 && mode.uses_prefetch() && program.prefetch_conflict() < 1.0 {
-            let displaced_fraction = 1.0 - program.prefetch_conflict();
-            let rounds = k.invocations().clamp(1, 4);
-            for _ in 0..rounds {
-                for (bi, b) in buffers.iter().enumerate() {
-                    mirror.displace_fraction(bi, displaced_fraction);
-                    let (s, t) = mirror.demand_touch_range(bi, b.role.is_output(), true);
-                    conflict_stall += s;
-                    conflict_transfer += t;
-                }
-            }
-        }
-
-        let style = mode.kernel_style(k.standard_style());
-        let r = executor.execute(*k, style, &env);
-        kernel += r.time * k.invocations().max(1);
-
-        let mut stall = conflict_stall;
-        memcpy += conflict_transfer;
-
-        let mut sequenced = false;
-        for inv in 0..k.invocations().min(MAX_SEQUENCED_ROUNDS) {
-            let chunk_size = mirror.chunk_size;
-            let mut seq = mirror.touch_sequence();
-            let round = program.for_each_page_touch(ki, inv, chunk_size, &mut |t| {
-                let b = &buffers[t.buffer];
-                if matches!(b.role, BufferRole::Scratch) {
-                    return;
-                }
-                let nchunks = b.bytes.div_ceil(chunk_size).max(1);
-                seq.touch(MirrorTouch {
-                    buffer: t.buffer,
-                    chunk: t.chunk % nchunks,
-                    write: t.write,
-                    host_backed: b.role.is_input(),
-                });
-            });
-            if !round {
-                break;
-            }
-            sequenced = true;
-            let (s, t) = seq.finish();
-            stall += s;
-            memcpy += t;
-        }
-        if !sequenced {
-            for (bi, b) in buffers.iter().enumerate() {
-                if matches!(b.role, BufferRole::Scratch) {
-                    continue;
-                }
-                let (s, t) = mirror.demand_touch_range(bi, b.role.is_output(), b.role.is_input());
-                stall += s;
-                memcpy += t;
-            }
-        }
-        let exposed = stall.scale(1.0 / device.fault_stall_overlap);
-        kernel += exposed;
-        stall_exposed += exposed;
-    }
-
-    for (bi, b) in buffers.iter().enumerate() {
-        if b.role.is_output() {
-            let path = if mode.uses_prefetch() {
-                LinkPath::BulkPrefetch
-            } else {
-                LinkPath::DemandMigration
-            };
-            memcpy += mirror.writeback_dirty(bi, path);
-        }
-    }
-
-    let demand_fraction = mirror.demand_fraction();
-    UvmOutcome {
-        memcpy,
-        kernel,
-        stall_exposed,
-        coverage,
-        demand_fraction,
-        fills: std::mem::take(&mut mirror.fills),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The advisor entry point.
-// ---------------------------------------------------------------------------
-
-/// Runs the static performance analysis for `program` on `device`,
-/// predicting all five transfer modes and emitting advisory `SAN-P*`
+/// Runs the performance analysis for `program` on `device`: ranks all
+/// five transfer modes by their base runs and emits advisory `SAN-P*`
 /// lints.
 ///
 /// # Panics
@@ -767,94 +307,41 @@ fn predict_uvm(
 /// any mode comparison is meaningful).
 pub fn advise(program: &dyn GpuProgram, device: &Device, config: &PerfConfig) -> ModeAdvice {
     let buffers = program.buffers();
-    let kernels = program.kernels();
     assert!(
-        !kernels.is_empty(),
+        !program.kernels().is_empty(),
         "program `{}` has no kernels",
         program.name()
     );
-    let executor = KernelExecutor::new(device.gpu.clone());
-
-    // Shared allocation model: every mode allocates and frees each buffer.
-    let alloc_for = |managed: bool| -> Nanos {
-        buffers
-            .iter()
-            .map(|b| device.alloc.alloc_and_free(b.bytes, managed))
-            .sum()
-    };
+    let runner = Runner::new(device.clone());
+    let coverage = prefetch_coverage(program);
 
     let mut predictions: Vec<ModePrediction> = Vec::with_capacity(TransferMode::ALL.len());
-    let mut dataflow_fills: Vec<u64> = Vec::new();
-    let mut overlap = None;
-
+    let mut mean_batch_fill = 0.0;
     for mode in TransferMode::ALL {
-        let alloc_base = alloc_for(mode.uses_uvm());
-        let (alloc, memcpy, kernel, fault_stall, rationale) = if mode.uses_uvm() {
-            let out = predict_uvm(program, device, &executor, mode, &buffers);
-            if mode == TransferMode::Uvm {
-                dataflow_fills = out.fills.clone();
-            }
-            let teardown = device
-                .alloc
-                .managed_teardown(program.footprint(), out.demand_fraction);
-            let rationale = if mode.uses_prefetch() {
-                format!(
-                    "prefetch covers {:.0}% of input chunks; {:.2} ms migration, {:.2} ms fault stall exposed",
-                    out.coverage * 100.0,
-                    ms(out.memcpy),
-                    ms(out.stall_exposed),
-                )
-            } else {
-                format!(
-                    "demand paging migrates on touch: {:.2} ms transfer, {:.2} ms fault stall exposed",
-                    ms(out.memcpy),
-                    ms(out.stall_exposed),
-                )
-            };
-            (
-                alloc_base + teardown,
-                out.memcpy,
-                out.kernel,
-                out.stall_exposed,
-                rationale,
-            )
-        } else {
-            let (memcpy, kernel) = predict_explicit(program, device, &executor, mode, &buffers);
-            if mode == TransferMode::Standard {
-                overlap = Some((memcpy, kernel));
-            }
-            let rationale = if mode.uses_async_copy() {
-                format!(
-                    "explicit pageable copies {:.2} ms; cp.async staged kernels {:.2} ms",
-                    ms(memcpy),
-                    ms(kernel),
-                )
-            } else {
-                format!(
-                    "explicit pageable copies {:.2} ms; kernels {:.2} ms",
-                    ms(memcpy),
-                    ms(kernel),
-                )
-            };
-            (alloc_base, memcpy, kernel, Nanos::ZERO, rationale)
-        };
+        let (run, fault_stall) = runner.run_base_with_stall(program, mode);
+        if mode == TransferMode::Uvm {
+            mean_batch_fill = run.counters.uvm.mean_batch_fill();
+        }
         predictions.push(ModePrediction {
             mode,
-            alloc,
-            memcpy,
-            kernel,
+            alloc: run.alloc,
+            memcpy: run.memcpy,
+            kernel: run.kernel,
             fault_stall,
-            rationale,
+            rationale: rationale(mode, &run, fault_stall, coverage),
         });
     }
 
     // ---- analyses ----
-    let (copy_time, standard_kernel) = overlap.expect("standard mode predicted");
-    let async_kernel = predictions
-        .iter()
-        .find(|p| p.mode == TransferMode::Async)
-        .map(|p| p.kernel)
-        .expect("async mode predicted");
+    let predicted = |mode| {
+        predictions
+            .iter()
+            .find(|p| p.mode == mode)
+            .expect("every mode predicted")
+    };
+    let copy_time = predicted(TransferMode::Standard).memcpy;
+    let standard_kernel = predicted(TransferMode::Standard).kernel;
+    let async_kernel = predicted(TransferMode::Async).kernel;
     let copy_bytes: u64 = buffers
         .iter()
         .map(|b| {
@@ -887,7 +374,7 @@ pub fn advise(program: &dyn GpuProgram, device: &Device, config: &PerfConfig) ->
         async_gain,
     };
 
-    let dataflow = analyze_dataflow(program, device, &buffers, &dataflow_fills);
+    let dataflow = analyze_dataflow(program, device, &buffers, mean_batch_fill);
 
     let staging_bytes: u64 = buffers
         .iter()
@@ -1001,7 +488,7 @@ fn analyze_dataflow(
     program: &dyn GpuProgram,
     device: &Device,
     buffers: &[BufferSpec],
-    fills: &[u64],
+    mean_batch_fill: f64,
 ) -> DataflowAnalysis {
     use std::collections::HashMap;
     let chunk_size = device.uvm.chunk_size;
@@ -1049,11 +536,6 @@ fn analyze_dataflow(
         1.0 - capacity as f64 / footprint as f64
     } else {
         0.0
-    };
-    let mean_batch_fill = if fills.is_empty() {
-        0.0
-    } else {
-        fills.iter().sum::<u64>() as f64 / fills.len() as f64
     };
     DataflowAnalysis {
         sequenced,
@@ -1222,7 +704,7 @@ mod tests {
 
     #[test]
     fn matches_runner_sequenced() {
-        // Strided revisiting sequence exercising FaultBatcher speculation.
+        // Strided revisiting sequence exercising fault batching and speculation.
         let mut p = TestProgram::new(vec![
             buf("in", 48, BufferRole::Input),
             buf("out", 16, BufferRole::InOut),

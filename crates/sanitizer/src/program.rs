@@ -9,6 +9,7 @@ use crate::diag::{Diagnostic, Lint, Report, Span};
 use crate::CheckConfig;
 use hetsim_gpu::kernel::KernelStyle;
 use hetsim_runtime::program::{BufferRole, BufferSpec, GpuProgram};
+use hetsim_runtime::run::MAX_SEQUENCED_ROUNDS;
 
 /// Per-buffer aggregation of one lint across a kernel's touch sequences:
 /// occurrence count plus the first offending touch.
@@ -73,7 +74,7 @@ pub fn check_program(program: &dyn GpuProgram, cfg: &CheckConfig) -> Report {
             ));
         }
 
-        let rounds = kernel.invocations().min(cfg.max_rounds).max(1);
+        let rounds = kernel.invocations().clamp(1, MAX_SEQUENCED_ROUNDS);
         let mut sequenced = false;
         let mut touches_seen = 0u64;
         let mut oob_buffer: Option<Agg> = None;

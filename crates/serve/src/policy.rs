@@ -544,10 +544,10 @@ impl ServingPolicy for ChaosFailover {
 // ---------------------------------------------------------------------------
 
 /// Advisor-driven placement: each request runs in the transfer mode the
-/// static performance advisor (`hetsim_sanitizer::advise`, reached through
-/// `hetsim::verify::advise_program`) predicts fastest for its workload ×
-/// size on the paper's device model — no simulation, the prediction is
-/// closed-form. Requests land on the least-committed device with room for
+/// performance advisor (`hetsim_sanitizer::advise`, reached through
+/// `hetsim::verify::advise_program`) ranks fastest for its workload × size
+/// on the paper's device model, from the five modes' noise-free base runs.
+/// Requests land on the least-committed device with room for
 /// the working set, so the fleet is one shared pool with per-request mode
 /// selection rather than static mode lanes.
 ///

@@ -36,9 +36,11 @@ echo "==> spec sanitizer gate (hetsim check --all --deny warnings)"
 ./target/release/hetsim-cli check --all --deny warnings
 
 echo "==> transfer-mode advisor gate (hetsim advise --all)"
-# The static advisor must run clean over the whole registry (text and
-# JSON surfaces) — its top-1 accuracy against the simulator is pinned by
-# tests/advisor_validation.rs; this gate pins the CLI plumbing. A single
+# The advisor must run clean over the whole registry (text and JSON
+# surfaces). Its ranking is the runtime's own base runs:
+# tests/advisor_validation.rs pins every predicted breakdown and fault
+# stall to the simulator exactly, and the top-ranked mode to the measured
+# winner on every cell; this gate pins the CLI plumbing. A single
 # overlap-free workload is also checked under --deny so the SAN-P lint
 # exit path stays wired.
 ./target/release/hetsim-cli advise --all --size tiny > /dev/null
