@@ -609,10 +609,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
 /// Under `--self-profile`, two stderr lines after a figure grid: the memo
 /// layer's bookkeeping overhead (wall time spent in `get_or_compute` that
-/// was not spent simulating), recorded per PR by `scripts/bench.sh`; and
-/// the grid's in-process wall time (`grid`, measured around the figure
-/// computation), which the cold-vs-warm cache gates compare so process
-/// start-up does not dilute them.
+/// was not spent simulating); and the grid's in-process wall time
+/// (`grid`, measured around the figure computation), which leaves
+/// process start-up out of a cold-vs-warm cache comparison.
 fn report_memo_profile(exp: &Experiment, args: &Args, grid: std::time::Duration) {
     if !args.self_profile {
         return;

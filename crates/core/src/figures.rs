@@ -2,8 +2,9 @@
 //!
 //! Every function takes an [`Experiment`] (so tests can shrink the run
 //! count) and returns a typed data set with a `to_table()` renderer that
-//! prints the same rows/series the paper plots. The benches in
-//! `hetsim-bench` regenerate each figure from these producers.
+//! prints the same rows/series the paper plots. `hetsim-cli figures`
+//! exports every figure from these producers, and the benchmark's
+//! `paper_grid` workload times Figs 7 and 8 through them.
 
 use crate::experiment::{Experiment, ModeComparison};
 use crate::pool;

@@ -53,8 +53,7 @@ pub struct MemoStats {
 impl MemoStats {
     /// Wall-clock nanoseconds of pure memo bookkeeping: lookup time that
     /// was *not* spent computing values. This is the sweep executor's
-    /// memoization overhead, the quantity the `--self-profile` grid
-    /// stage in `scripts/bench.sh` records per PR.
+    /// memoization overhead, which `micro`/`apps --self-profile` print.
     pub fn overhead_ns(&self) -> u64 {
         self.lookup_ns.saturating_sub(self.compute_ns)
     }

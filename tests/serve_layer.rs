@@ -87,20 +87,37 @@ fn serve_traces_are_thread_count_invariant_for_every_policy() {
     }
 }
 
+/// Sweep JSON is thread-invariant on a small 2-GPU cell and on the
+/// 4-GPU Small ladder from quiet to saturated (50 to 3200 req/s).
 #[test]
 fn sweep_grids_are_thread_count_invariant() {
-    let (serial, parallel) = both(|| {
-        let fleet = Fleet::nvlink(2, InputSize::Tiny);
-        let sweep = ServeSweep {
-            policies: PolicyKind::ALL.to_vec(),
-            rates: vec![50.0, 800.0],
-            mix: "poisson".into(),
-            seed: 5,
-            requests: 80,
-        };
-        sweep.run(&fleet).to_json()
-    });
-    assert_eq!(serial, parallel, "sweep JSON must be byte-identical");
+    let cells = [
+        (2, InputSize::Tiny, vec![50.0, 800.0], 5, 80),
+        (
+            4,
+            InputSize::Small,
+            vec![50.0, 200.0, 800.0, 3200.0],
+            42,
+            400,
+        ),
+    ];
+    for (gpus, size, rates, seed, requests) in cells {
+        let (serial, parallel) = both(|| {
+            let fleet = Fleet::nvlink(gpus, size);
+            let sweep = ServeSweep {
+                policies: PolicyKind::ALL.to_vec(),
+                rates: rates.clone(),
+                mix: "poisson".into(),
+                seed,
+                requests,
+            };
+            sweep.run(&fleet).to_json()
+        });
+        assert_eq!(
+            serial, parallel,
+            "sweep JSON must be byte-identical ({gpus} gpus @ {size})"
+        );
+    }
 }
 
 #[test]
