@@ -17,20 +17,16 @@ pub struct Args {
     pub csv: bool,
     /// `--study blocks|threads|carveout`.
     pub study: Option<String>,
-    /// `--out DIR` (or the trace output file for `trace`).
+    /// `--out DIR|FILE`: the figures directory, or the JSON report file
+    /// of `chaos` and `serve`.
     pub out: Option<String>,
     /// `--jobs N` (default 16).
     pub jobs: u32,
     /// `--mode standard|pinned|uvm|uvm_prefetch|uvm_prefetch_async`.
     pub mode: Option<String>,
-    /// `--trace FILE`: also export a trace of the run to FILE.
+    /// `--trace FILE`: export a trace of the run to FILE, in the format
+    /// its extension names (`.json` and `.jsonl` stream during the run).
     pub trace: Option<String>,
-    /// `--trace-stream FILE`: stream trace events to FILE *during* the
-    /// run (bounded memory) instead of buffering the whole recording.
-    pub trace_stream: Option<String>,
-    /// `--trace-format jsonl|chrome`: wire format for `--trace-stream`
-    /// (default: jsonl, or chrome when the file ends in `.json`).
-    pub trace_format: Option<String>,
     /// `--self-profile`: include host wall-clock spans in the trace.
     pub self_profile: bool,
     /// `--threads N`: worker threads for parallel sweeps (default: the
@@ -100,8 +96,6 @@ impl Default for Args {
             jobs: 16,
             mode: None,
             trace: None,
-            trace_stream: None,
-            trace_format: None,
             self_profile: false,
             threads: None,
             help: false,
@@ -160,14 +154,6 @@ impl Args {
                 "--out" => args.out = Some(it.next()?.clone()),
                 "--mode" => args.mode = Some(it.next()?.clone()),
                 "--trace" => args.trace = Some(it.next()?.clone()),
-                "--trace-stream" => args.trace_stream = Some(it.next()?.clone()),
-                "--trace-format" => {
-                    let v = it.next()?;
-                    if v != "jsonl" && v != "chrome" {
-                        return None;
-                    }
-                    args.trace_format = Some(v.clone());
-                }
                 "--size" => {
                     let v = it.next()?;
                     args.size = InputSize::ALL.into_iter().find(|s| s.name() == v)?;
@@ -322,15 +308,15 @@ mod tests {
             "uvm",
             "--size",
             "large",
-            "--out",
-            "/tmp/t.json",
+            "--trace",
+            "t.json",
             "--self-profile",
         ]))
         .unwrap();
         assert_eq!(cmd, "trace");
         assert_eq!(a.positional, vec!["vector_seq".to_string()]);
         assert_eq!(a.mode.as_deref(), Some("uvm"));
-        assert_eq!(a.out.as_deref(), Some("/tmp/t.json"));
+        assert_eq!(a.trace.as_deref(), Some("t.json"));
         assert!(a.self_profile);
     }
 
@@ -342,23 +328,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_trace_stream_flags() {
-        let (_, a) = Args::parse(&v(&[
-            "run",
-            "--workload",
-            "lud",
-            "--trace-stream",
-            "t.jsonl",
-            "--trace-format",
-            "chrome",
-        ]))
-        .unwrap();
-        assert_eq!(a.trace_stream.as_deref(), Some("t.jsonl"));
-        assert_eq!(a.trace_format.as_deref(), Some("chrome"));
-        let (_, a) = Args::parse(&v(&["run", "--trace-stream", "t.jsonl"])).unwrap();
-        assert_eq!(a.trace_format, None);
-        assert!(Args::parse(&v(&["run", "--trace-format", "xml"])).is_none());
-        assert!(Args::parse(&v(&["run", "--trace-stream"])).is_none());
+    fn trace_stream_flags_are_rejected() {
+        // `--trace FILE` streams `.json`/`.jsonl` itself; the flags that
+        // used to ask for it are unknown options now.
+        assert!(Args::parse(&v(&["run", "lud", "--trace-stream", "t.jsonl"])).is_none());
+        assert!(Args::parse(&v(&["run", "lud", "--trace-format", "chrome"])).is_none());
+        let (_, a) = Args::parse(&v(&["run", "lud", "--trace", "t.jsonl"])).unwrap();
+        assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
     }
 
     #[test]
@@ -537,6 +513,115 @@ mod tests {
         let (_, a) = Args::parse(&v(&["micro"])).unwrap();
         assert_eq!(a.cache, None);
         assert!(Args::parse(&v(&["micro", "--cache"])).is_none());
+    }
+
+    /// Randomized input boundary, in the style of `tests/simulator_props.rs`:
+    /// `SimRng`-drawn argument lists over the flag vocabulary, good and bad
+    /// values, and junk. Parsing never panics; whatever it accepts satisfies
+    /// the documented value bounds; and the retired trace flags are
+    /// rejected wherever an option may stand.
+    #[test]
+    fn random_argument_lists_parse_without_panicking() {
+        use hetsim_engine::rng::SimRng;
+        const TOKENS: &[&str] = &[
+            "run",
+            "serve",
+            "trace",
+            "lud",
+            "--csv",
+            "--help",
+            "-h",
+            "--self-profile",
+            "--all",
+            "--verify-specs",
+            "--chaos",
+            "--deny",
+            "warnings",
+            "errors",
+            "--format",
+            "json",
+            "text",
+            "yaml",
+            "--workload",
+            "--study",
+            "--out",
+            "--mode",
+            "uvm",
+            "--trace",
+            "t.json",
+            "t.jsonl",
+            "-",
+            "--size",
+            "tiny",
+            "giga",
+            "--runs",
+            "--jobs",
+            "--seed",
+            "--retries",
+            "--seeds",
+            "--rates",
+            "--intensities",
+            "--deadline",
+            "--rate",
+            "--gpus",
+            "--requests",
+            "--threads",
+            "--policy",
+            "--cache",
+            "--mix",
+            "bursty",
+            "steady",
+            "0",
+            "1",
+            "7",
+            "-3",
+            "0.5",
+            "1.5",
+            "inf",
+            "nan",
+            "abc",
+            "0,0.5,1",
+            "",
+            ",",
+            "--",
+            "--bogus",
+            "\u{0}",
+            "ünïcode",
+        ];
+        let mut rng = SimRng::seed_from_parts(&["props", "args_parse"], 0);
+        for _ in 0..4_000 {
+            let len = rng.below(10) as usize;
+            let argv: Vec<String> = (0..len)
+                .map(|_| TOKENS[rng.below(TOKENS.len() as u64) as usize].to_string())
+                .collect();
+            let Some((_, a)) = Args::parse(&argv) else {
+                continue;
+            };
+            assert!(
+                a.runs > 0 && a.seeds > 0 && a.gpus > 0 && a.requests > 0,
+                "{argv:?}"
+            );
+            assert_ne!(a.threads, Some(0), "{argv:?}");
+            assert!(a.rate.is_none_or(|r| r.is_finite() && r > 0.0), "{argv:?}");
+            assert!(
+                a.deadline_ms.is_none_or(|d| d.is_finite() && d > 0.0),
+                "{argv:?}"
+            );
+            assert!(a
+                .rates
+                .as_ref()
+                .is_none_or(|rs| !rs.is_empty() && rs.iter().all(|r| r.is_finite() && *r >= 0.0)));
+            assert!(a
+                .intensities
+                .as_ref()
+                .is_none_or(|xs| !xs.is_empty() && xs.iter().all(|x| (0.0..=1.0).contains(x))));
+            assert!(a.positional.iter().all(|p| !p.starts_with('-')), "{argv:?}");
+            for retired in [["--trace-stream", "t.jsonl"], ["--trace-format", "chrome"]] {
+                let mut longer = argv.clone();
+                longer.extend(retired.map(String::from));
+                assert!(Args::parse(&longer).is_none(), "{longer:?} accepted");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! hetsim-cli sensitivity --study blocks|threads|carveout [--size large]
 //! hetsim-cli figures --out DIR      # write every figure's CSV + SVG
 //! hetsim-cli interjob [--workload W] [--jobs N]
-//! hetsim-cli trace <workload> [--mode M] [--out trace.json]
+//! hetsim-cli trace <workload> [--mode M] [--trace trace.json]
 //! ```
 //!
 //! `run --help` prints the full workload registry. With `--mode`, `run`
@@ -37,18 +37,15 @@
 //! objects whose shape is pinned by a CI golden test.
 //!
 //! `trace` records one deterministic run as a structured sim-time trace
-//! and exports it by output extension: `.jsonl` → line-delimited JSON,
-//! `.json` → Chrome trace-event format (load in Perfetto /
-//! `chrome://tracing`), `.csv` → flat CSV, anything else (or `-`) →
-//! plain text. `run` and `interjob` accept `--trace FILE` to export a
-//! trace alongside their tables.
-//!
-//! `run`, `irregular`, `interjob`, `chaos`, and `trace` also accept
-//! `--trace-stream FILE` (with `--trace-format jsonl|chrome`): events
-//! drain to FILE *during* the run in bounded memory, so fleet-scale
-//! recordings never have to fit in the ring buffer — and never drop. The
-//! streamed bytes are identical to a buffered export of the same run, at
-//! any `--threads N`.
+//! and exports it to `--trace FILE` (default `-`, text on stdout). `run`,
+//! `irregular`, `interjob`, `chaos` and `serve` take the same flag to
+//! export a trace alongside their tables; every other command rejects it.
+//! The output extension picks the format: `.json` → Chrome trace-event
+//! format (load in Perfetto / `chrome://tracing`) and `.jsonl` →
+//! line-delimited JSON both stream *during* the run in bounded memory,
+//! so recordings never have to fit in the ring buffer and never drop;
+//! `.csv` → flat CSV and anything else (or `-`) → plain text render from
+//! the finished recording. The bytes are identical at any `--threads N`.
 //!
 //! `chaos` sweeps the `hetsim-chaos` fault injector over a workload set ×
 //! intensity ramp × seed grid and prints the degradation curve: mean
@@ -65,10 +62,9 @@
 //! `serve --chaos` arms the fleet resilience layer — seeded
 //! device-lifecycle faults, SLO deadlines, deadline-budgeted retries and
 //! hedging — and sweeps availability curves over a fault-intensity grid.
-//! A single-cell run can export the fleet schedule with
-//! `--trace`/`--trace-stream`; reports and traces are byte-identical at
-//! any `--threads N` for a fixed seed. See `docs/SERVING.md` for the
-//! architecture.
+//! A single-cell run can export the fleet schedule with `--trace`;
+//! reports and traces are byte-identical at any `--threads N` for a
+//! fixed seed. See `docs/SERVING.md` for the architecture.
 
 use hetsim::batch::{InterJobPipeline, JobStages};
 use hetsim::cache::{CacheChoice, DiskCache};
@@ -193,7 +189,16 @@ fn cmd_cache(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The commands that record a run, and so the only ones `--trace` applies to.
+const TRACING_COMMANDS: [&str; 6] = ["run", "irregular", "interjob", "chaos", "serve", "trace"];
+
 fn dispatch(command: &str, args: &Args) -> Result<(), String> {
+    if args.trace.is_some() && !TRACING_COMMANDS.contains(&command) {
+        return Err(format!(
+            "`{command}` records no trace; --trace applies to {}",
+            TRACING_COMMANDS.join(", ")
+        ));
+    }
     match command {
         "help" | "--help" | "-h" => {
             print_usage();
@@ -235,7 +240,7 @@ fn print_usage() {
          \u{20}  sensitivity --study X [--size S]   Figs 11-13 (blocks|threads|carveout)\n\
          \u{20}  figures --out DIR                  write every figure's CSV to DIR\n\
          \u{20}  interjob [--workload W] [--jobs N] Fig 14: inter-job pipeline estimate\n\
-         \u{20}  trace W [--mode M] [--out FILE]    export one run as a Chrome/Perfetto trace\n\
+         \u{20}  trace W [--mode M] [--trace FILE]  export one run as a Chrome/Perfetto trace\n\
          \u{20}  chaos [W...] [--all] [--rates L]   fault-injection sweep: degradation curves\n\
          \u{20}  serve [--policy P] [--mix M]       GPU fleet under open-loop traffic: latency,\n\
          \u{20}        [--rate R] [--gpus N]        goodput, and per-device utilization\n\
@@ -247,10 +252,8 @@ fn print_usage() {
          \u{20}                      (default: HETSIM_CACHE env, else off; `on` uses\n\
          \u{20}                      target/hetsim-cache; stats print on stderr)\n\
          \u{20}        --mode standard|async|uvm|uvm_prefetch|uvm_prefetch_async\n\
-         \u{20}        --trace FILE  --self-profile\n\
-         \u{20}        --trace-stream FILE           stream events to FILE during the run\n\
-         \u{20}        --trace-format jsonl|chrome   wire format for --trace-stream\n\
-         \u{20}                      (default: jsonl, or chrome when FILE ends in .json)\n\
+         \u{20}        --trace FILE  --self-profile  record run|irregular|interjob|chaos|serve|trace\n\
+         \u{20}                      (.json/.jsonl stream; .csv, text, - = stdout render after)\n\
          \u{20}        --format text|json            check report rendering\n\
          \u{20}        --verify-specs                run `check` on the involved specs first\n\
          \u{20}        --seed N --seeds N --retries N --rates R1,R2,...   chaos sweep grid\n\
@@ -571,15 +574,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 args.csv,
             );
         }
-        if let Some(path) = args.trace.as_deref() {
-            let (_, trace) = exp.traced_run(&w, mode);
-            write_trace(&trace, path)?;
-        }
-        if let Some(path) = args.trace_stream.as_deref() {
-            // A second deterministic base run, this time draining events
-            // to the sink as it goes; identical content by determinism.
-            let (_, trace) = exp.traced_run_streaming(&w, mode, open_sink(args, path)?);
-            report_stream(&trace, args, path)?;
+        if let Some(out) = TraceOut::from_args(args) {
+            // A second, traced base run; identical content by determinism.
+            let (_, trace) = exp.traced_run(&w, mode, out.sink()?);
+            out.finish(&trace)?;
         }
         return Ok(());
     }
@@ -591,18 +589,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         hetsim_runtime::GpuProgram::footprint(&w) >> 20
     );
     emit(&cmp.to_table(), args.csv);
-    if let Some(path) = args.trace.as_deref() {
-        // One recording with all five modes back to back on the timeline.
-        let (_, trace) = exp.traced_modes(&w);
-        write_trace(&trace, path)?;
-        report_merge_profile(&trace, args);
-    }
-    if let Some(path) = args.trace_stream.as_deref() {
-        // Same five-mode recording, but the merge drains through the sink
-        // in mode order — byte-identical output at every --threads N.
-        let (_, trace) = exp.traced_modes_streaming(&w, open_sink(args, path)?);
-        report_stream(&trace, args, path)?;
-        report_merge_profile(&trace, args);
+    if let Some(out) = TraceOut::from_args(args) {
+        // One recording with all five modes back to back on the timeline,
+        // merged in mode order: the same bytes at every --threads N.
+        let (_, trace) = exp.traced_modes(&w, out.sink()?);
+        out.finish(&trace)?;
     }
     Ok(())
 }
@@ -625,21 +616,6 @@ fn report_memo_profile(exp: &Experiment, args: &Args, grid: std::time::Duration)
         stats.compute_ns as f64 / 1e6,
     );
     eprintln!("self-profile: grid wall {:.3} ms", grid.as_secs_f64() * 1e3);
-}
-
-/// Under `--self-profile`, one stderr line with the five-mode trace
-/// merge's wall-clock cost (the `host.trace_merge` span recorded by the
-/// experiment's merge loop) — the serial tail every parallel traced
-/// sweep pays.
-fn report_merge_profile(trace: &hetsim_trace::Trace, args: &Args) {
-    if !args.self_profile {
-        return;
-    }
-    let Some(track) = trace.find_track("host.trace_merge") else {
-        return;
-    };
-    let merge_ns: u64 = trace.track_spans(track).iter().map(|e| e.dur()).sum();
-    eprintln!("self-profile: trace merge {:.3} ms", merge_ns as f64 / 1e6);
 }
 
 /// The irregular-access study: bfs, kmeans, and pathfinder compared
@@ -665,21 +641,22 @@ fn cmd_irregular(args: &Args) -> Result<(), String> {
         rows.push((name.to_string(), TransferMode::Uvm, r));
     }
     emit(&fault_stats_table(&rows), args.csv);
-    if let Some(path) = args.trace_stream.as_deref() {
-        // Stream the trio's plain-uvm base runs back to back as one
-        // bounded-memory recording: each run carries its own mode/device
-        // labels, and the merge order is the fixed trio order.
-        let sink = open_sink(args, path)?;
-        let mut merged = hetsim_trace::TraceBuilder::new(trace_config(args)).with_sink(sink);
+    if let Some(out) = TraceOut::from_args(args) {
+        // The trio's plain-uvm base runs back to back as one recording:
+        // each run carries its own mode/device labels, and the merge
+        // order is the fixed trio order.
+        let mut merged = hetsim_trace::TraceBuilder::new(trace_config(args));
+        if let Some(sink) = out.sink()? {
+            merged = merged.with_sink(sink);
+        }
         for name in figures::IRREGULAR_WORKLOADS {
             let w = suite::by_name(name, args.size)
                 .ok_or_else(|| format!("irregular trio workload `{name}` missing from registry"))?;
-            let (_, t) = exp.traced_run(&w, TransferMode::Uvm);
+            let (_, t) = exp.traced_run(&w, TransferMode::Uvm, None);
             let at = merged.now();
             merged.absorb_at(&t, at);
         }
-        let trace = merged.finish();
-        report_stream(&trace, args, path)?;
+        out.finish(&merged.finish())?;
     }
     Ok(())
 }
@@ -761,8 +738,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         std::fs::write(path, sweep.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    if args.trace.is_some() || args.trace_stream.is_some() {
-        reject_trace_and_stream("chaos", args)?;
+    if let Some(out) = TraceOut::from_args(args) {
         // One representative traced run at the ramp's top intensity: the
         // injected faults land as instants on the `chaos` track and every
         // recovery cost as a phase span in its component's category.
@@ -772,24 +748,14 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
             .ok_or("chaos --trace needs at least one workload")?;
         let w = suite::by_name(name, cfg.size).ok_or_else(|| format!("unknown workload {name}"))?;
         let top = cfg.rates.iter().copied().fold(0.0, f64::max);
-        match args.trace_stream.as_deref() {
-            Some(path) => {
-                hetsim_trace::session::start_streaming(trace_config(args), open_sink(args, path)?)
-            }
-            None => hetsim_trace::session::start(trace_config(args)),
-        }
+        hetsim_trace::session::start(trace_config(args), out.sink()?);
         let armed = exp
             .clone()
             .with_chaos(FaultPlan::at_intensity(cfg.seed, top), cfg.policy);
         let outcome = armed.try_run(&w, cfg.mode);
         let trace =
             hetsim_trace::session::finish().ok_or("trace session vanished before export")?;
-        if let Some(path) = args.trace.as_deref() {
-            write_trace(&trace, path)?;
-        }
-        if let Some(path) = args.trace_stream.as_deref() {
-            report_stream(&trace, args, path)?;
-        }
+        out.finish(&trace)?;
         if let Err(e) = outcome {
             eprintln!("traced run at intensity {top:.2} did not recover: {e}");
         }
@@ -815,7 +781,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         println!(
             "usage: hetsim-cli serve [--policy P|all] [--mix M] [--rate R | --rates R1,R2,...]\n\
              \u{20}       [--gpus N] [--requests N] [--size S] [--seed N] [--format json]\n\
-             \u{20}       [--out FILE] [--csv] [--trace FILE | --trace-stream FILE]\n\
+             \u{20}       [--out FILE] [--csv] [--trace FILE]\n\
              \u{20}       [--chaos [--intensities X1,X2,...] [--deadline MS]]\n\
              policies: {}   (default: all)\n\
              mixes:    {}   (default: poisson)\n\
@@ -867,10 +833,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("serve --chaos: invalid plan at intensity {x}: {e}"))?;
         }
     }
-    reject_trace_and_stream("serve", args)?;
     let single_cell =
         policies.len() == 1 && rates.len() == 1 && (!args.chaos || intensities.len() == 1);
-    if (args.trace.is_some() || args.trace_stream.is_some()) && !single_cell {
+    let trace_out = TraceOut::from_args(args);
+    if trace_out.is_some() && !single_cell {
         return Err(
             "serve: tracing needs a single cell — pick one --policy, one --rate, and (with \
              --chaos) one intensity"
@@ -899,16 +865,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     // The single-cell schedule export, shared by both modes.
     let export = |outcome: &hetsim_serve::FleetOutcome| -> Result<(), String> {
+        let Some(out) = &trace_out else {
+            return Ok(());
+        };
         let cap = outcome.trace_events().max(1);
         let config = hetsim_trace::TraceConfig::default().with_capacity(cap);
-        if let Some(path) = args.trace_stream.as_deref() {
-            let trace = outcome.trace_streaming(config, open_sink(args, path)?);
-            report_stream(&trace, args, path)?;
-        } else if let Some(path) = args.trace.as_deref() {
-            let trace = outcome.trace(config);
-            write_trace(&trace, path)?;
-        }
-        Ok(())
+        let trace = match out.sink()? {
+            Some(sink) => outcome.trace_streaming(config, sink),
+            None => outcome.trace(config),
+        };
+        out.finish(&trace)
     };
 
     if args.chaos {
@@ -1004,27 +970,21 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
+    if args.out.is_some() {
+        return Err("trace writes its file with --trace FILE, not --out".into());
+    }
     let name = args
         .positional
         .first()
         .map(String::as_str)
         .or(args.workload.as_deref())
-        .ok_or("trace needs a workload: hetsim-cli trace <workload> [--mode M] [--out FILE]")?;
+        .ok_or("trace needs a workload: hetsim-cli trace <workload> [--mode M] [--trace FILE]")?;
     let w = suite::by_name(name, args.size).ok_or_else(|| format!("unknown workload {name}"))?;
     let mode = parse_mode(args.mode.as_deref().unwrap_or("standard"))?;
     let exp = Experiment::new().with_trace(trace_config(args));
-    let (report, trace) = match args.trace_stream.as_deref() {
-        Some(path) => {
-            let (report, trace) = exp.traced_run_streaming(&w, mode, open_sink(args, path)?);
-            report_stream(&trace, args, path)?;
-            (report, trace)
-        }
-        None => {
-            let (report, trace) = exp.traced_run(&w, mode);
-            write_trace(&trace, args.out.as_deref().unwrap_or("-"))?;
-            (report, trace)
-        }
-    };
+    let out = TraceOut::new(args.trace.as_deref().unwrap_or("-"));
+    let (report, trace) = exp.traced_run(&w, mode, out.sink()?);
+    out.finish(&trace)?;
     eprintln!(
         "{name} @ {} [{}]: alloc {} memcpy {} kernel {} system {} | {} events{}",
         args.size,
@@ -1053,45 +1013,97 @@ fn trace_config(args: &Args) -> hetsim_trace::TraceConfig {
     }
 }
 
-/// The streamed-trace wire format for `path`: the explicit
-/// `--trace-format` when given, else Chrome trace-event JSON for `.json`
-/// outputs, else JSONL.
-fn stream_format(args: &Args, path: &str) -> &'static str {
-    match args.trace_format.as_deref() {
-        Some("chrome") => "chrome",
-        Some(_) => "jsonl",
-        None if path.ends_with(".json") => "chrome",
-        None => "jsonl",
-    }
+/// `--trace FILE`, resolved once. The extension picks the format, and
+/// with it how the recording reaches the file: `.json` (Chrome) and
+/// `.jsonl` stream through a sink during the run, so memory stays bounded
+/// and no event is dropped; `.csv`, `-` (stdout) and anything else (text)
+/// render from the finished trace.
+struct TraceOut {
+    path: String,
+    format: TraceFormat,
 }
 
-/// Opens `path` and wraps it in the streaming sink for the chosen format.
-fn open_sink(args: &Args, path: &str) -> Result<Box<dyn hetsim_trace::TraceSink>, String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-    let out = std::io::BufWriter::new(file);
-    Ok(match stream_format(args, path) {
-        "chrome" => Box::new(hetsim_trace::ChromeSink::new(out)),
-        _ => Box::new(hetsim_trace::JsonlSink::new(out)),
-    })
+enum TraceFormat {
+    Chrome,
+    Jsonl,
+    Csv,
+    Text,
 }
 
-/// Post-run status for a streamed trace: where it went, how many events,
-/// and a hard error when the sink failed mid-run (the file is truncated;
-/// trusting it silently is worse than failing the command).
-fn report_stream(trace: &hetsim_trace::Trace, args: &Args, path: &str) -> Result<(), String> {
-    if let Some(err) = trace.stream_error() {
-        return Err(format!(
-            "trace stream to {path} failed mid-run: {err} \
-             (recording fell back to the in-memory ring; the file is incomplete)"
-        ));
+impl TraceOut {
+    fn new(path: &str) -> TraceOut {
+        let format = if path.ends_with(".jsonl") {
+            TraceFormat::Jsonl
+        } else if path.ends_with(".json") {
+            TraceFormat::Chrome
+        } else if path.ends_with(".csv") {
+            TraceFormat::Csv
+        } else {
+            TraceFormat::Text
+        };
+        TraceOut {
+            path: path.to_string(),
+            format,
+        }
     }
-    warn_dropped(trace);
-    eprintln!(
-        "streamed {} events to {path} ({})",
-        trace.total_events(),
-        stream_format(args, path)
-    );
-    Ok(())
+
+    /// The `--trace` output of a recording command, if one was asked for.
+    fn from_args(args: &Args) -> Option<TraceOut> {
+        args.trace.as_deref().map(TraceOut::new)
+    }
+
+    /// The sink the recording streams through: the created file wrapped
+    /// in its format's writer, or `None` for the rendered formats.
+    fn sink(&self) -> Result<Option<Box<dyn hetsim_trace::TraceSink>>, String> {
+        let open = || {
+            std::fs::File::create(&self.path)
+                .map(std::io::BufWriter::new)
+                .map_err(|e| format!("cannot create {}: {e}", self.path))
+        };
+        Ok(match self.format {
+            TraceFormat::Chrome => Some(Box::new(hetsim_trace::ChromeSink::new(open()?))),
+            TraceFormat::Jsonl => Some(Box::new(hetsim_trace::JsonlSink::new(open()?))),
+            TraceFormat::Csv | TraceFormat::Text => None,
+        })
+    }
+
+    /// Completes the export of `trace`, recorded through [`TraceOut::sink`].
+    /// A streamed file is checked and reported: a sink that failed
+    /// mid-run left it truncated, and trusting it silently is worse than
+    /// failing the command. A rendered format is written now.
+    fn finish(&self, trace: &hetsim_trace::Trace) -> Result<(), String> {
+        let path = &self.path;
+        warn_dropped(trace);
+        let contents = match self.format {
+            TraceFormat::Chrome | TraceFormat::Jsonl => {
+                if let Some(err) = trace.stream_error() {
+                    return Err(format!(
+                        "trace stream to {path} failed mid-run: {err} \
+                         (recording fell back to the in-memory ring; the file is incomplete)"
+                    ));
+                }
+                let format = match self.format {
+                    TraceFormat::Chrome => "chrome",
+                    _ => "jsonl",
+                };
+                let events = trace.total_events();
+                eprintln!("streamed {events} events to {path} ({format})");
+                return Ok(());
+            }
+            TraceFormat::Csv => trace.to_csv(),
+            TraceFormat::Text => trace.to_text(),
+        };
+        if path == "-" {
+            print!("{contents}");
+            return Ok(());
+        }
+        // Status note on stderr: stdout may be carrying a machine-readable
+        // report (e.g. `chaos --format json --trace FILE`) that must stay
+        // byte-identical regardless of where the trace file landed.
+        std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote {path}");
+        Ok(())
+    }
 }
 
 /// Loud stderr warning when a recording dropped events (ring buffer full
@@ -1101,22 +1113,10 @@ fn warn_dropped(trace: &hetsim_trace::Trace) {
     if trace.dropped() > 0 {
         eprintln!(
             "warning: trace dropped {} events (ring buffer full); \
-             raise the capacity or stream with --trace-stream",
+             raise the capacity or stream to a .json/.jsonl file",
             trace.dropped()
         );
     }
-}
-
-/// Rejects `--trace` + `--trace-stream` together on commands where both
-/// would have to share one recording session.
-fn reject_trace_and_stream(command: &str, args: &Args) -> Result<(), String> {
-    if args.trace.is_some() && args.trace_stream.is_some() {
-        return Err(format!(
-            "{command}: --trace and --trace-stream are mutually exclusive here \
-             (one run, one recording session)"
-        ));
-    }
-    Ok(())
 }
 
 fn parse_mode(name: &str) -> Result<TransferMode, String> {
@@ -1127,32 +1127,6 @@ fn parse_mode(name: &str) -> Result<TransferMode, String> {
             let names = TransferMode::ALL.map(|m| m.name()).join("|");
             format!("unknown mode `{name}` ({names})")
         })
-}
-
-/// Writes a trace in the format implied by the output path: `.jsonl` →
-/// line-delimited JSON, `.json` → Chrome trace-event JSON, `.csv` → CSV,
-/// `-` or anything else → text.
-fn write_trace(trace: &hetsim_trace::Trace, path: &str) -> Result<(), String> {
-    warn_dropped(trace);
-    let contents = if path.ends_with(".jsonl") {
-        trace.to_jsonl()
-    } else if path.ends_with(".json") {
-        trace.to_chrome_json()
-    } else if path.ends_with(".csv") {
-        trace.to_csv()
-    } else {
-        trace.to_text()
-    };
-    if path == "-" {
-        print!("{contents}");
-        return Ok(());
-    }
-    // Status note on stderr: stdout may be carrying a machine-readable
-    // report (e.g. `chaos --format json --trace FILE`) that must stay
-    // byte-identical regardless of where the trace file landed.
-    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!("wrote {path}");
-    Ok(())
 }
 
 fn cmd_micro(args: &Args) -> Result<(), String> {
@@ -1205,20 +1179,16 @@ fn cmd_sensitivity(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_interjob(args: &Args) -> Result<(), String> {
-    reject_trace_and_stream("interjob", args)?;
     let name = args.workload.as_deref().unwrap_or("vector_seq");
     let w = suite::by_name(name, args.size).ok_or_else(|| format!("unknown workload {name}"))?;
     let exp = experiment(args);
-    match args.trace_stream.as_deref() {
-        Some(path) => {
-            hetsim_trace::session::start_streaming(trace_config(args), open_sink(args, path)?)
-        }
-        None if args.trace.is_some() => hetsim_trace::session::start(trace_config(args)),
-        None => {}
+    let trace_out = TraceOut::from_args(args);
+    if let Some(out) = &trace_out {
+        hetsim_trace::session::start(trace_config(args), out.sink()?);
     }
     let report = exp.base_run(&w, TransferMode::UvmPrefetchAsync);
     let pipeline = InterJobPipeline::homogeneous(JobStages::from_report(&report), args.jobs);
-    if args.trace.is_some() || args.trace_stream.is_some() {
+    if let Some(out) = &trace_out {
         // Append the pipelined batch schedule after the measured job, so
         // the export shows both the single run and the Fig 14 overlap.
         let (_, piped) = pipeline.traces();
@@ -1228,12 +1198,7 @@ fn cmd_interjob(args: &Args) -> Result<(), String> {
         });
         let trace =
             hetsim_trace::session::finish().ok_or("trace session vanished before export")?;
-        if let Some(path) = args.trace.as_deref() {
-            write_trace(&trace, path)?;
-        }
-        if let Some(path) = args.trace_stream.as_deref() {
-            report_stream(&trace, args, path)?;
-        }
+        out.finish(&trace)?;
     }
     println!(
         "Fig 14: inter-job pipeline, {name} @ {} x {} jobs",

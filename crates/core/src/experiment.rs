@@ -215,30 +215,18 @@ impl Experiment {
     /// and its phase spans sum exactly to the report's components. Host
     /// self-profiling spans are added only when the configuration opted
     /// in via [`TraceConfig::with_self_profile`].
-    pub fn traced_run(&self, program: &dyn GpuProgram, mode: TransferMode) -> (RunReport, Trace) {
-        hetsim_trace::session::start(self.trace);
-        self.finish_traced_run(program, mode)
-    }
-
-    /// Like [`Experiment::traced_run`], but attaches `sink` to the
-    /// session so completed events drain to it *during* the run: memory
-    /// stays bounded by the configured capacity and nothing is dropped
-    /// even when the recording outgrows the ring many times over.
-    pub fn traced_run_streaming(
+    ///
+    /// With a `sink`, completed events drain to it *during* the run:
+    /// memory stays bounded by the configured capacity, nothing is dropped
+    /// however far the recording outgrows the ring, and the returned trace
+    /// holds only the count of what it streamed.
+    pub fn traced_run(
         &self,
         program: &dyn GpuProgram,
         mode: TransferMode,
-        sink: Box<dyn TraceSink>,
+        sink: Option<Box<dyn TraceSink>>,
     ) -> (RunReport, Trace) {
-        hetsim_trace::session::start_streaming(self.trace, sink);
-        self.finish_traced_run(program, mode)
-    }
-
-    fn finish_traced_run(
-        &self,
-        program: &dyn GpuProgram,
-        mode: TransferMode,
-    ) -> (RunReport, Trace) {
+        hetsim_trace::session::start(self.trace, sink);
         if let Some(job) = pool::current_task() {
             // Label every event of this run with its grid slot. The index
             // comes from the work item, never the worker thread, so the
@@ -261,33 +249,22 @@ impl Experiment {
     /// the running sum of its predecessors' end cursors. The merge path
     /// is identical at every thread count, so the exported trace is
     /// byte-identical whether the modes ran serially or in parallel.
-    pub fn traced_modes(&self, program: &dyn GpuProgram) -> ([RunReport; 5], Trace) {
-        self.traced_modes_into(program, TraceBuilder::new(self.trace))
-    }
-
-    /// Like [`Experiment::traced_modes`], but drains the merged recording
-    /// through `sink` as the per-mode traces fold in, so the whole
-    /// five-mode picture never has to fit in the merge buffer at once.
     ///
-    /// The per-mode runs still record into their own (bounded) sessions;
-    /// only the *merge* streams. Merging happens in mode order after the
-    /// join at every thread count, so the streamed bytes are identical
-    /// whether the modes ran serially or across [`pool`] workers.
-    pub fn traced_modes_streaming(
+    /// With a `sink`, the merged recording drains through it as the
+    /// per-mode traces fold in, so the five-mode picture never has to fit
+    /// in the merge buffer at once. The per-mode runs still record into
+    /// their own bounded sessions; only the merge streams.
+    pub fn traced_modes(
         &self,
         program: &dyn GpuProgram,
-        sink: Box<dyn TraceSink>,
+        sink: Option<Box<dyn TraceSink>>,
     ) -> ([RunReport; 5], Trace) {
-        self.traced_modes_into(program, TraceBuilder::new(self.trace).with_sink(sink))
-    }
-
-    fn traced_modes_into(
-        &self,
-        program: &dyn GpuProgram,
-        mut merged: TraceBuilder,
-    ) -> ([RunReport; 5], Trace) {
+        let mut merged = TraceBuilder::new(self.trace);
+        if let Some(sink) = sink {
+            merged = merged.with_sink(sink);
+        }
         let runs: Vec<(RunReport, Trace)> = pool::run(TransferMode::ALL.len(), |i| {
-            self.traced_run(program, TransferMode::ALL[i])
+            self.traced_run(program, TransferMode::ALL[i], None)
         });
         let started = std::time::Instant::now();
         let mut reports = Vec::with_capacity(runs.len());

@@ -956,7 +956,7 @@ mod tests {
 
     #[test]
     fn active_session_absorbs_schedule() {
-        hetsim_trace::session::start(TraceConfig::default());
+        hetsim_trace::session::start(TraceConfig::default(), None);
         let mut s = StreamSchedule::new();
         s.push(StreamId(0), Engine::Compute, us(10), "k0");
         let _ = s.run();
@@ -1141,7 +1141,7 @@ mod tests {
     fn watchdog_failure_leaves_session_clean() {
         // A deadlocked evaluation must not fold partial work into an
         // active trace session.
-        hetsim_trace::session::start(TraceConfig::default());
+        hetsim_trace::session::start(TraceConfig::default(), None);
         let mut s = StreamSchedule::new();
         s.push_item(ScheduleItem::WaitEvent {
             stream: StreamId(0),

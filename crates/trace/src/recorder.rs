@@ -117,13 +117,8 @@ impl TraceBuilder {
     /// to it at every chunk boundary instead of being overwritten when
     /// the ring fills.
     pub fn with_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.attach_sink(sink);
-        self
-    }
-
-    /// Attaches a streaming sink, replacing any previous one.
-    pub fn attach_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sink = Some(sink);
+        self
     }
 
     /// Whether a sink is attached (and healthy — a write error detaches).

@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn records_nothing_without_opt_in() {
-        session::start(TraceConfig::default()); // self_profile = false
+        session::start(TraceConfig::default(), None); // self_profile = false
         let p = HostProfiler::new();
         assert!(!p.active());
         let v = p.phase("setup", || 7);
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn records_host_spans_when_opted_in() {
-        session::start(TraceConfig::default().with_self_profile());
+        session::start(TraceConfig::default().with_self_profile(), None);
         let p = HostProfiler::new();
         assert!(p.active());
         p.phase("simulate", || std::hint::black_box(1 + 1));

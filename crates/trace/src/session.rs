@@ -11,7 +11,7 @@
 //! use hetsim_trace::{session, Category, TraceConfig};
 //!
 //! assert!(!session::enabled());
-//! session::start(TraceConfig::default());
+//! session::start(TraceConfig::default(), None);
 //! session::with(|b| {
 //!     let t = b.track("gpu");
 //!     b.phase_span(t, Category::Kernel, "saxpy", 1_000);
@@ -44,19 +44,19 @@ pub fn enabled() -> bool {
 
 /// Starts a session with `config`, replacing (and discarding) any
 /// session already active on this thread.
-pub fn start(config: TraceConfig) {
-    BUILDER.with(|b| *b.borrow_mut() = Some(TraceBuilder::new(config)));
-    ENABLED.with(|e| e.set(true));
-}
-
-/// Starts a **streaming** session: like [`start`], but completed events
-/// drain into `sink` at every chunk boundary instead of overwriting the
-/// ring's oldest events when it fills. The returned trace from
-/// [`finish`] then reports its event count via
+///
+/// With a `sink`, completed events drain into it at every chunk boundary
+/// instead of overwriting the ring's oldest events when it fills; the
+/// trace [`finish`] returns then reports its event count via
 /// [`Trace::streamed`](crate::Trace::streamed) and holds no events
 /// itself.
-pub fn start_streaming(config: TraceConfig, sink: Box<dyn TraceSink>) {
-    BUILDER.with(|b| *b.borrow_mut() = Some(TraceBuilder::new(config).with_sink(sink)));
+pub fn start(config: TraceConfig, sink: Option<Box<dyn TraceSink>>) {
+    let builder = TraceBuilder::new(config);
+    let builder = match sink {
+        Some(sink) => builder.with_sink(sink),
+        None => builder,
+    };
+    BUILDER.with(|b| *b.borrow_mut() = Some(builder));
     ENABLED.with(|e| e.set(true));
 }
 
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn start_record_finish_roundtrip() {
-        start(TraceConfig::default());
+        start(TraceConfig::default(), None);
         assert!(enabled());
         with(|b| {
             let t = b.track("x");
@@ -110,12 +110,12 @@ mod tests {
 
     #[test]
     fn restart_discards_previous_session() {
-        start(TraceConfig::default());
+        start(TraceConfig::default(), None);
         with(|b| {
             let t = b.track("x");
             b.span_at(t, Category::Kernel, "old", 0, 1);
         });
-        start(TraceConfig::default());
+        start(TraceConfig::default(), None);
         let trace = finish().unwrap();
         assert!(trace.is_empty(), "restart begins from a clean buffer");
     }

@@ -206,8 +206,11 @@ pub(crate) fn number(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal: quotes,
+/// backslash and every control character (`\n`, `\r` and `\t` by their
+/// short forms, the rest as `\u00XX`). The trace exporters and the
+/// serve and chaos JSON reports share it; the caller adds the quotes.
+pub fn escape(s: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -325,6 +328,15 @@ mod tests {
             trace.to_jsonl(),
             "{\"type\":\"summary\",\"events\":0,\"dropped\":0,\"end_cursor\":0}\n"
         );
+    }
+
+    #[test]
+    fn escape_covers_quotes_backslash_newline_and_controls() {
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("line\nnext"), "line\\nnext");
+        assert_eq!(escape("cr\rtab\t"), "cr\\rtab\\t");
+        assert_eq!(escape("bell\u{7}"), "bell\\u0007");
+        assert_eq!(escape("plain ascii"), "plain ascii");
     }
 
     #[test]

@@ -598,7 +598,7 @@ fn apply_model(s: &mut ModelSpace, op: &Op, link: &CpuGpuLink) -> Outcome {
 /// (or panic message) and the step's trace events as JSONL.
 fn traced<T>(f: impl FnOnce() -> T) -> (Result<T, String>, String) {
     // One step records a few dozen events.
-    session::start(TraceConfig::default().with_capacity(512));
+    session::start(TraceConfig::default().with_capacity(512), None);
     let result = catch_unwind(AssertUnwindSafe(f)).map_err(|p| {
         p.downcast_ref::<&str>()
             .map(|s| s.to_string())

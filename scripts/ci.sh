@@ -68,35 +68,32 @@ done
 echo "==> trace smoke test"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
-./target/release/hetsim-cli trace vector_seq --mode uvm --size small --out "$out/t.json"
-./target/release/hetsim-cli trace vector_seq --mode uvm --size small --out "$out/t2.json"
+./target/release/hetsim-cli trace vector_seq --mode uvm --size small --trace "$out/t.json"
+./target/release/hetsim-cli trace vector_seq --mode uvm --size small --trace "$out/t2.json"
 cmp "$out/t.json" "$out/t2.json"
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out/t.json" 2>/dev/null \
   || echo "(python3 not available; skipping JSON validation)"
+# A command that records nothing must refuse --trace and write no file.
+if ./target/release/hetsim-cli micro --size tiny --trace "$out/micro.json" > /dev/null 2>&1 \
+  || [ -e "$out/micro.json" ]; then
+  echo "FAIL: micro accepted --trace"; exit 1
+fi
 
-echo "==> streaming determinism gate (stream vs buffer, threads 1 vs 4)"
-# A streamed export must be byte-identical to a buffered export of the
-# same deterministic run, in both wire formats, at any thread count —
-# the contract that makes --trace-stream a pure memory knob.
-HETSIM_THREADS=1 ./target/release/hetsim-cli run vector_seq --size small --runs 2 \
-  --trace "$out/buf.json" > /dev/null
-HETSIM_THREADS=1 ./target/release/hetsim-cli run vector_seq --size small --runs 2 \
-  --trace-stream "$out/stream_t1.json" --trace-format chrome > /dev/null
-HETSIM_THREADS=4 ./target/release/hetsim-cli run vector_seq --size small --runs 2 \
-  --trace-stream "$out/stream_t4.json" --trace-format chrome > /dev/null
-cmp "$out/buf.json" "$out/stream_t1.json" \
-  || { echo "FAIL: streamed chrome trace differs from buffered export"; exit 1; }
-cmp "$out/stream_t1.json" "$out/stream_t4.json" \
-  || { echo "FAIL: streamed chrome trace differs across thread counts"; exit 1; }
-HETSIM_THREADS=1 ./target/release/hetsim-cli run vector_seq --size small --runs 2 \
-  --trace "$out/buf.jsonl" > /dev/null
-HETSIM_THREADS=4 ./target/release/hetsim-cli run vector_seq --size small --runs 2 \
-  --trace-stream "$out/stream.jsonl" > /dev/null
-cmp "$out/buf.jsonl" "$out/stream.jsonl" \
-  || { echo "FAIL: streamed jsonl trace differs from buffered export"; exit 1; }
-grep -q '"type":"summary"' "$out/stream.jsonl" \
+echo "==> streaming determinism gate (--trace .json and .jsonl, threads 1 vs 4)"
+# --trace streams .json and .jsonl during the run; the bytes must not
+# depend on the worker-thread count. Streamed == buffered is pinned in
+# the library by tests/streaming_determinism.rs.
+for ext in json jsonl; do
+  for t in 1 4; do
+    HETSIM_THREADS=$t ./target/release/hetsim-cli run vector_seq --size small --runs 2 \
+      --trace "$out/stream_t$t.$ext" > /dev/null
+  done
+  cmp "$out/stream_t1.$ext" "$out/stream_t4.$ext" \
+    || { echo "FAIL: streamed $ext trace differs across thread counts"; exit 1; }
+done
+grep -q '"type":"summary"' "$out/stream_t4.jsonl" \
   || { echo "FAIL: streamed jsonl lacks the summary record"; exit 1; }
-grep -q '"dropped":0' "$out/stream.jsonl" \
+grep -q '"dropped":0' "$out/stream_t4.jsonl" \
   || { echo "FAIL: streamed jsonl reports dropped events"; exit 1; }
 
 echo "==> chaos determinism gate (fixed seed matrix, threads 1 vs 4)"
@@ -134,11 +131,11 @@ echo "==> serve determinism gate (fleet reports + streamed traces, threads 1 vs 
 for policy in mode_packing uvm_spillover chaos_failover mode_advisor slo_deadline; do
   HETSIM_THREADS=1 ./target/release/hetsim-cli serve --policy "$policy" \
     --mix bursty --rate 400 --seed 11 --gpus 4 --requests 120 --size tiny \
-    --format json --trace-stream "$out/serve_t1_$policy.jsonl" \
+    --format json --trace "$out/serve_t1_$policy.jsonl" \
     > "$out/serve1_$policy.json" 2> /dev/null
   HETSIM_THREADS=4 ./target/release/hetsim-cli serve --policy "$policy" \
     --mix bursty --rate 400 --seed 11 --gpus 4 --requests 120 --size tiny \
-    --format json --trace-stream "$out/serve_t4_$policy.jsonl" \
+    --format json --trace "$out/serve_t4_$policy.jsonl" \
     > "$out/serve4_$policy.json" 2> /dev/null
   cmp "$out/serve1_$policy.json" "$out/serve4_$policy.json" \
     || { echo "FAIL: serve report differs across thread counts ($policy)"; exit 1; }
@@ -168,7 +165,7 @@ for t in 1 4; do
   HETSIM_THREADS=$t ./target/release/hetsim-cli serve --chaos \
     --policy chaos_failover --mix poisson --rate 400 --intensities 1 \
     --seed 7 --gpus 3 --requests 80 --size tiny --format json \
-    --trace-stream "$out/res_trace_t$t.jsonl" > /dev/null 2> /dev/null
+    --trace "$out/res_trace_t$t.jsonl" > /dev/null 2> /dev/null
 done
 cmp "$out/res_trace_t1.jsonl" "$out/res_trace_t4.jsonl" \
   || { echo "FAIL: resilient fleet trace differs across thread counts"; exit 1; }

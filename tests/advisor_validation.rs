@@ -95,7 +95,7 @@ fn pin_predictions(
             assert_eq!(p.alloc, r.alloc, "{cell}: alloc");
             assert_eq!(p.memcpy, r.memcpy, "{cell}: memcpy");
             assert_eq!(p.kernel, r.kernel, "{cell}: kernel");
-            let (_, trace) = experiment.traced_run(w, mode);
+            let (_, trace) = experiment.traced_run(w, mode, None);
             assert_eq!(trace.dropped(), 0, "{cell}: trace dropped events");
             let stall_spans: u64 = trace
                 .spans()

@@ -143,7 +143,7 @@ fn chaos_trace_is_seed_deterministic() {
         let exp = Experiment::new()
             .with_runs(1)
             .with_chaos(FaultPlan::heavy(9), RecoveryPolicy::default());
-        hetsim_trace::session::start(hetsim_trace::TraceConfig::default());
+        hetsim_trace::session::start(hetsim_trace::TraceConfig::default(), None);
         let out = exp.try_run(&w, TransferMode::Uvm);
         let trace = hetsim_trace::session::finish().expect("session active");
         (out, trace.to_chrome_json())

@@ -93,7 +93,7 @@ fn irregular_trio_tables_and_reports_are_thread_count_invariant() {
 fn traced_modes_exports_are_thread_count_invariant() {
     let w = suite::by_name("bfs", InputSize::Tiny).expect("bfs exists");
     let (serial, parallel) = both(|| {
-        let (reports, trace) = exp().traced_modes(&w);
+        let (reports, trace) = exp().traced_modes(&w, None);
         (
             reports,
             trace.to_chrome_json(),
@@ -115,7 +115,7 @@ fn traced_modes_exports_are_thread_count_invariant() {
 fn traced_modes_metrics_registry_is_thread_count_invariant() {
     let w = suite::by_name("kmeans", InputSize::Tiny).expect("kmeans exists");
     let (serial, parallel) = both(|| {
-        let (_, trace) = exp().traced_modes(&w);
+        let (_, trace) = exp().traced_modes(&w, None);
         hetsim_trace::MetricsRegistry::from_trace(&trace).to_csv()
     });
     assert_eq!(serial, parallel, "metrics registry rendering");

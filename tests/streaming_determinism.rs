@@ -4,15 +4,22 @@
 //! event however small its ring; and the labeled metric dimensions must
 //! answer per-mode and per-stream queries from a real five-mode sweep.
 //!
-//! Byte identity is the contract that makes `--trace-stream` a pure
-//! memory knob: the buffered exporters *are* single-chunk streams through
-//! the same writers, so any divergence here means a writer peeked at a
-//! chunk boundary.
+//! Byte identity is the contract that lets the CLI stream every `.json`
+//! and `.jsonl` export of `--trace`: the buffered exporters *are*
+//! single-chunk streams through the same writers, so any divergence here
+//! means a writer peeked at a chunk boundary. Each shape the CLI streams
+//! is pinned here against its buffered export: the five-mode merge
+//! (`traced_modes`), a single session (`traced_run`), a chaos run inside
+//! a sink-attached session, and one serve cell's fleet schedule.
 
 use hetsim::experiment::Experiment;
 use hetsim::pool;
-use hetsim_trace::{ChromeSink, Dim, JsonlSink, MetricsRegistry, SharedBuffer, Trace, TraceConfig};
-use hetsim_workloads::{micro, InputSize};
+use hetsim_runtime::{FaultPlan, RecoveryPolicy, TransferMode};
+use hetsim_serve::{ArrivalMix, Fleet, PolicyKind, ServeConfig};
+use hetsim_trace::{
+    ChromeSink, Dim, JsonlSink, MetricsRegistry, SharedBuffer, Trace, TraceConfig, TraceSink,
+};
+use hetsim_workloads::{micro, suite, InputSize};
 
 fn exp() -> Experiment {
     Experiment::new().with_runs(2)
@@ -21,9 +28,29 @@ fn exp() -> Experiment {
 /// One five-mode traced sweep, buffered, at the given thread count.
 fn buffered_sweep(threads: usize) -> Trace {
     pool::with_threads(threads, || {
-        let (_, trace) = exp().traced_modes(&micro::vector_seq(InputSize::Tiny));
+        let (_, trace) = exp().traced_modes(&micro::vector_seq(InputSize::Tiny), None);
         trace
     })
+}
+
+/// A sink writing into a fresh shared buffer, in Chrome or JSONL format.
+fn buffer_sink(chrome: bool) -> (Box<dyn TraceSink>, SharedBuffer) {
+    let buf = SharedBuffer::new();
+    let sink: Box<dyn TraceSink> = if chrome {
+        Box::new(ChromeSink::new(buf.clone()))
+    } else {
+        Box::new(JsonlSink::new(buf.clone()))
+    };
+    (sink, buf)
+}
+
+/// The buffered export of `trace` in the sink's format.
+fn export(trace: &Trace, chrome: bool) -> String {
+    if chrome {
+        trace.to_chrome_json()
+    } else {
+        trace.to_jsonl()
+    }
 }
 
 /// The same sweep streamed through a sink during the merge, returning
@@ -33,14 +60,9 @@ fn buffered_sweep(threads: usize) -> Trace {
 /// it and chunks mid-run.
 fn streamed_sweep(threads: usize, capacity: usize, chrome: bool) -> (Trace, String) {
     pool::with_threads(threads, || {
-        let buf = SharedBuffer::new();
-        let sink: Box<dyn hetsim_trace::TraceSink> = if chrome {
-            Box::new(ChromeSink::new(buf.clone()))
-        } else {
-            Box::new(JsonlSink::new(buf.clone()))
-        };
+        let (sink, buf) = buffer_sink(chrome);
         let e = exp().with_trace(TraceConfig::default().with_capacity(capacity));
-        let (_, trace) = e.traced_modes_streaming(&micro::vector_seq(InputSize::Tiny), sink);
+        let (_, trace) = e.traced_modes(&micro::vector_seq(InputSize::Tiny), Some(sink));
         (trace, buf.into_string())
     })
 }
@@ -60,6 +82,86 @@ fn streamed_chrome_is_byte_identical_to_buffered_export() {
     let (trace, streamed) = streamed_sweep(1, 64, true);
     assert_eq!(trace.dropped(), 0);
     assert_eq!(streamed, buffered);
+}
+
+#[test]
+fn streamed_single_run_is_byte_identical_to_buffered_export() {
+    // The session-sink path: a ring far smaller than the run drains into
+    // the sink mid-run.
+    let w = suite::by_name("bfs", InputSize::Tiny).unwrap();
+    let (_, buffered) = exp().traced_run(&w, TransferMode::Uvm, None);
+    assert!(
+        buffered.total_events() > 16,
+        "the run must outgrow the ring"
+    );
+    let small = exp().with_trace(TraceConfig::default().with_capacity(16));
+    for chrome in [false, true] {
+        let (sink, buf) = buffer_sink(chrome);
+        let (_, trace) = small.traced_run(&w, TransferMode::Uvm, Some(sink));
+        assert_eq!(trace.dropped(), 0);
+        assert_eq!(trace.streamed(), buffered.total_events());
+        assert_eq!(
+            buf.into_string(),
+            export(&buffered, chrome),
+            "chrome={chrome}"
+        );
+    }
+}
+
+#[test]
+fn streamed_chaos_run_is_byte_identical_to_buffered_export() {
+    // A chaos run records its injected faults and recovery spans into
+    // whatever session is active, sink-attached or not.
+    let w = suite::by_name("kmeans", InputSize::Tiny).unwrap();
+    let armed = exp().with_chaos(FaultPlan::heavy(9), RecoveryPolicy::default());
+    let record = |sink: Option<Box<dyn TraceSink>>, capacity: usize| {
+        hetsim_trace::session::start(TraceConfig::default().with_capacity(capacity), sink);
+        let outcome = armed.try_run(&w, TransferMode::Uvm);
+        let trace = hetsim_trace::session::finish().expect("session active");
+        (outcome, trace)
+    };
+    let (outcome, buffered) = record(None, TraceConfig::DEFAULT_CAPACITY);
+    assert!(
+        buffered.total_events() > 16,
+        "the run must outgrow the ring"
+    );
+    for chrome in [false, true] {
+        let (sink, buf) = buffer_sink(chrome);
+        let (streamed_outcome, trace) = record(Some(sink), 16);
+        assert_eq!(
+            streamed_outcome, outcome,
+            "streaming must not change the run"
+        );
+        assert_eq!(trace.dropped(), 0);
+        let bytes = buf.into_string();
+        assert!(bytes.contains("\"chaos\""), "chaos track missing");
+        assert_eq!(bytes, export(&buffered, chrome), "chrome={chrome}");
+    }
+}
+
+#[test]
+fn streamed_serve_cell_is_byte_identical_to_buffered_export() {
+    let fleet = Fleet::nvlink(4, InputSize::Tiny);
+    let outcome = fleet.serve(&ServeConfig {
+        policy: PolicyKind::SloDeadline,
+        mix: ArrivalMix::by_name("bursty", 400.0).unwrap(),
+        seed: 11,
+        requests: 120,
+    });
+    let buffered =
+        outcome.trace(TraceConfig::default().with_capacity(outcome.trace_events().max(1)));
+    assert_eq!(buffered.dropped(), 0);
+    for chrome in [false, true] {
+        let (sink, buf) = buffer_sink(chrome);
+        let trace = outcome.trace_streaming(TraceConfig::default().with_capacity(16), sink);
+        assert_eq!(trace.dropped(), 0);
+        assert_eq!(trace.streamed(), buffered.total_events());
+        assert_eq!(
+            buf.into_string(),
+            export(&buffered, chrome),
+            "chrome={chrome}"
+        );
+    }
 }
 
 #[test]

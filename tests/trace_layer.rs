@@ -15,7 +15,7 @@ fn phase_spans_sum_to_report_components_in_every_mode() {
     let w = micro::vector_seq(InputSize::Small);
     let e = Experiment::new();
     for mode in TransferMode::ALL {
-        let (report, trace) = e.traced_run(&w, mode);
+        let (report, trace) = e.traced_run(&w, mode, None);
         assert_eq!(
             trace.category_total(Category::Alloc),
             report.alloc.as_nanos(),
@@ -49,8 +49,8 @@ fn phase_spans_sum_to_report_components_in_every_mode() {
 fn exports_are_byte_identical_across_runs() {
     let w = suite::by_name("lud", InputSize::Small).unwrap();
     let e = Experiment::new();
-    let (r1, t1) = e.traced_run(&w, TransferMode::Uvm);
-    let (r2, t2) = e.traced_run(&w, TransferMode::Uvm);
+    let (r1, t1) = e.traced_run(&w, TransferMode::Uvm, None);
+    let (r2, t2) = e.traced_run(&w, TransferMode::Uvm, None);
     assert_eq!(r1, r2, "base runs are deterministic");
     assert_eq!(t1.to_chrome_json(), t2.to_chrome_json(), "chrome export");
     assert_eq!(t1.to_csv(), t2.to_csv(), "csv export");
@@ -64,7 +64,7 @@ fn tracing_does_not_change_results() {
     let w = micro::saxpy(InputSize::Small);
     let e = Experiment::new();
     let plain = e.runner().run_base(&w, TransferMode::UvmPrefetch);
-    let (traced, trace) = e.traced_run(&w, TransferMode::UvmPrefetch);
+    let (traced, trace) = e.traced_run(&w, TransferMode::UvmPrefetch, None);
     assert_eq!(plain, traced, "tracing must be a pure observer");
     assert!(!trace.is_empty(), "the observer still saw the run");
     assert!(
@@ -106,7 +106,7 @@ fn irregular_fault_sequences_are_deterministic_and_observer_invariant() {
         let r1 = e.runner().run_base(&w, TransferMode::Uvm);
         let r2 = e.runner().run_base(&w, TransferMode::Uvm);
         assert_eq!(r1, r2, "{name}: uvm base run must be deterministic");
-        let (traced, trace) = e.traced_run(&w, TransferMode::Uvm);
+        let (traced, trace) = e.traced_run(&w, TransferMode::Uvm, None);
         assert_eq!(r1, traced, "{name}: tracing must not perturb the run");
         assert!(
             trace.category_total(Category::Memcpy) == traced.memcpy.as_nanos(),
@@ -120,7 +120,7 @@ fn irregular_fault_sequences_are_deterministic_and_observer_invariant() {
 #[test]
 fn uvm_counters_feed_the_metrics_registry() {
     let w = micro::vector_seq(InputSize::Small);
-    let (_, trace) = Experiment::new().traced_run(&w, TransferMode::Uvm);
+    let (_, trace) = Experiment::new().traced_run(&w, TransferMode::Uvm, None);
     let names = trace.counter_names();
     assert!(names.contains(&"uvm.page_faults"), "counters: {names:?}");
     assert!(names.contains(&"dma.op_bytes"), "counters: {names:?}");
@@ -141,10 +141,10 @@ fn uvm_counters_feed_the_metrics_registry() {
 #[test]
 fn counter_interval_decimates_without_touching_spans() {
     let w = micro::vector_seq(InputSize::Small);
-    let (report, full) = Experiment::new().traced_run(&w, TransferMode::Uvm);
+    let (report, full) = Experiment::new().traced_run(&w, TransferMode::Uvm, None);
     let (_, dec) = Experiment::new()
         .with_trace(TraceConfig::default().with_counter_interval(1 << 40))
-        .traced_run(&w, TransferMode::Uvm);
+        .traced_run(&w, TransferMode::Uvm, None);
     let f = full.counter_series("dma.op_bytes").len();
     let d = dec.counter_series("dma.op_bytes").len();
     assert!(f > 1, "need several samples for decimation to matter");
@@ -165,10 +165,10 @@ fn counter_interval_decimates_without_touching_spans() {
 #[test]
 fn self_profiling_leaves_sim_events_untouched() {
     let w = micro::saxpy(InputSize::Tiny);
-    let (_, plain) = Experiment::new().traced_run(&w, TransferMode::Standard);
+    let (_, plain) = Experiment::new().traced_run(&w, TransferMode::Standard, None);
     let (_, prof) = Experiment::new()
         .with_trace(TraceConfig::default().with_self_profile())
-        .traced_run(&w, TransferMode::Standard);
+        .traced_run(&w, TransferMode::Standard, None);
     assert_eq!(plain.category_count(Category::Host), 0);
     assert!(prof.category_count(Category::Host) > 0);
     // Host spans live outside sim accounting entirely.
@@ -185,7 +185,7 @@ fn self_profiling_leaves_sim_events_untouched() {
 #[test]
 fn traced_modes_concatenates_all_five_runs() {
     let w = micro::saxpy(InputSize::Tiny);
-    let (reports, trace) = Experiment::new().traced_modes(&w);
+    let (reports, trace) = Experiment::new().traced_modes(&w, None);
     let total: u64 = reports.iter().map(|r| r.total().as_nanos()).sum();
     assert!(
         trace.horizon() >= total,
