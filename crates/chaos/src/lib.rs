@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! Deterministic fault injection and recovery for the hetsim stack.
 //!
 //! The paper's central caveat is that UVM's value is conditional: under

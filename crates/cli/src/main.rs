@@ -34,7 +34,8 @@
 //! five transfer modes by the cost of their noise-free base runs
 //! (alloc/memcpy/kernel, with a one-line rationale each) and reports the
 //! `SAN-P*` advisory lints. `--format json` emits an array of advice
-//! objects whose shape is pinned by a CI golden test.
+//! objects whose shape is pinned against `scripts/golden/advise.schema`
+//! by the `check_and_advise_run_clean_and_match_the_schema_goldens` test.
 //!
 //! `trace` records one deterministic run as a structured sim-time trace
 //! and exports it to `--trace FILE` (default `-`, text on stdout). `run`,
@@ -76,20 +77,42 @@ use hetsim_counters::svg::BarChart;
 use hetsim_runtime::TransferMode;
 use hetsim_workloads::{suite, InputSize};
 use std::collections::HashMap;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::{Arc, OnceLock};
 
 mod args;
 use args::Args;
 
+/// `print!` for command output: a failed write to stdout (a closed pipe,
+/// say) returns from the enclosing command as its error instead of
+/// panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
+/// [`out!`] with a trailing newline.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
+fn stdout_error(e: std::io::Error) -> String {
+    format!("cannot write to stdout: {e}")
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, args)) = Args::parse(&argv) else {
-        print_usage();
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
     hetsim::pool::set_threads(args.threads);
-    let result = dispatch(&command, &args);
+    let result =
+        dispatch(&command, &args).and_then(|()| std::io::stdout().flush().map_err(stdout_error));
     report_cache_stats();
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -151,7 +174,7 @@ fn report_cache_stats() {
 /// should not require turning caching on.
 fn cmd_cache(args: &Args) -> Result<(), String> {
     if args.help {
-        println!(
+        outln!(
             "usage: hetsim-cli cache <stats|clear> [--cache DIR]\n\
              \u{20} stats   entry count and total bytes of the cache store\n\
              \u{20} clear   delete every cached entry (the directory stays)"
@@ -173,16 +196,16 @@ fn cmd_cache(args: &Args) -> Result<(), String> {
             let scan = disk
                 .scan()
                 .map_err(|e| format!("cannot scan {}: {e}", disk.root().display()))?;
-            println!("cache root: {}", disk.root().display());
-            println!("entries:    {}", scan.entries);
-            println!("bytes:      {}", scan.bytes);
+            outln!("cache root: {}", disk.root().display());
+            outln!("entries:    {}", scan.entries);
+            outln!("bytes:      {}", scan.bytes);
             Ok(())
         }
         "clear" => {
             let removed = disk
                 .clear()
                 .map_err(|e| format!("cannot clear {}: {e}", disk.root().display()))?;
-            println!("removed {removed} entries from {}", disk.root().display());
+            outln!("removed {removed} entries from {}", disk.root().display());
             Ok(())
         }
         other => Err(format!("unknown cache operation `{other}` (stats|clear)")),
@@ -201,7 +224,7 @@ fn dispatch(command: &str, args: &Args) -> Result<(), String> {
     }
     match command {
         "help" | "--help" | "-h" => {
-            print_usage();
+            outln!("{USAGE}");
             Ok(())
         }
         "list" => cmd_list(),
@@ -224,55 +247,53 @@ fn dispatch(command: &str, args: &Args) -> Result<(), String> {
     }
 }
 
-fn print_usage() {
-    eprintln!(
-        "usage: hetsim-cli <command> [options]\n\
-         commands:\n\
-         \u{20}  list                               list every registered workload\n\
-         \u{20}  check [--all | W] [--deny warnings] static spec sanitizer (no simulation)\n\
-         \u{20}  advise [--all | W] [--size S]      transfer-mode advisor: modes ranked by\n\
-         \u{20}         [--deny warnings]           base-run cost, rationale + SAN-P lints\n\
-         \u{20}  run W [--size S] [--mode M]        compare modes (or run one) for a workload\n\
-         \u{20}  micro [--size S]                   Fig 7: the microbenchmark suite\n\
-         \u{20}  apps [--size S]                    Fig 8: the application suite\n\
-         \u{20}  irregular [--size S]               fault-batcher study: bfs/kmeans/pathfinder\n\
-         \u{20}  counters [--size S]                Figs 9/10: gemm/lud/yolov3 deep dive\n\
-         \u{20}  sensitivity --study X [--size S]   Figs 11-13 (blocks|threads|carveout)\n\
-         \u{20}  figures --out DIR                  write every figure's CSV to DIR\n\
-         \u{20}  interjob [--workload W] [--jobs N] Fig 14: inter-job pipeline estimate\n\
-         \u{20}  trace W [--mode M] [--trace FILE]  export one run as a Chrome/Perfetto trace\n\
-         \u{20}  chaos [W...] [--all] [--rates L]   fault-injection sweep: degradation curves\n\
-         \u{20}  serve [--policy P] [--mix M]       GPU fleet under open-loop traffic: latency,\n\
-         \u{20}        [--rate R] [--gpus N]        goodput, and per-device utilization\n\
-         \u{20}        [--chaos [--intensities L]]  resilience mode: lifecycle faults, SLO\n\
-         \u{20}        [--deadline MS]              deadlines, availability curves\n\
-         \u{20}  cache stats|clear                  inspect or empty the on-disk result cache\n\
-         options: --size tiny|small|medium|large|super|mega  --runs N  --csv\n\
-         \u{20}        --cache off|on|DIR            on-disk result cache for base runs\n\
-         \u{20}                      (default: HETSIM_CACHE env, else off; `on` uses\n\
-         \u{20}                      target/hetsim-cache; stats print on stderr)\n\
-         \u{20}        --mode standard|async|uvm|uvm_prefetch|uvm_prefetch_async\n\
-         \u{20}        --trace FILE  --self-profile  record run|irregular|interjob|chaos|serve|trace\n\
-         \u{20}                      (.json/.jsonl stream; .csv, text, - = stdout render after)\n\
-         \u{20}        --format text|json            check report rendering\n\
-         \u{20}        --verify-specs                run `check` on the involved specs first\n\
-         \u{20}        --seed N --seeds N --retries N --rates R1,R2,...   chaos sweep grid\n\
-         \u{20}        --policy mode_packing|uvm_spillover|chaos_failover|mode_advisor|\n\
-         \u{20}                      slo_deadline|all\n\
-         \u{20}        --mix poisson|bursty|diurnal  --rate R  --gpus N  --requests N   serve\n\
-         \u{20}        --chaos  --intensities X1,X2,...  --deadline MS    serve resilience\n\
-         \u{20}        --threads N   worker threads for sweeps (default: HETSIM_THREADS,\n\
-         \u{20}                      then machine parallelism; output is identical at any N)\n\
-         `run --help` lists every valid workload name."
-    );
-}
+/// The usage text: on stdout for `help`, on stderr after a bad command line.
+const USAGE: &str = "usage: hetsim-cli <command> [options]\n\
+     commands:\n\
+     \u{20}  list                               list every registered workload\n\
+     \u{20}  check [--all | W] [--deny warnings] static spec sanitizer (no simulation)\n\
+     \u{20}  advise [--all | W] [--size S]      transfer-mode advisor: modes ranked by\n\
+     \u{20}         [--deny warnings]           base-run cost, rationale + SAN-P lints\n\
+     \u{20}  run W [--size S] [--mode M]        compare modes (or run one) for a workload\n\
+     \u{20}  micro [--size S]                   Fig 7: the microbenchmark suite\n\
+     \u{20}  apps [--size S]                    Fig 8: the application suite\n\
+     \u{20}  irregular [--size S]               fault-batcher study: bfs/kmeans/pathfinder\n\
+     \u{20}  counters [--size S]                Figs 9/10: gemm/lud/yolov3 deep dive\n\
+     \u{20}  sensitivity --study X [--size S]   Figs 11-13 (blocks|threads|carveout)\n\
+     \u{20}  figures --out DIR                  write every figure's CSV to DIR\n\
+     \u{20}  interjob [--workload W] [--jobs N] Fig 14: inter-job pipeline estimate\n\
+     \u{20}  trace W [--mode M] [--trace FILE]  export one run as a Chrome/Perfetto trace\n\
+     \u{20}  chaos [W...] [--all] [--rates L]   fault-injection sweep: degradation curves\n\
+     \u{20}  serve [--policy P] [--mix M]       GPU fleet under open-loop traffic: latency,\n\
+     \u{20}        [--rate R] [--gpus N]        goodput, and per-device utilization\n\
+     \u{20}        [--chaos [--intensities L]]  resilience mode: lifecycle faults, SLO\n\
+     \u{20}        [--deadline MS]              deadlines, availability curves\n\
+     \u{20}  cache stats|clear                  inspect or empty the on-disk result cache\n\
+     options: --size tiny|small|medium|large|super|mega  --runs N  --csv\n\
+     \u{20}        --cache off|on|DIR            on-disk result cache for base runs\n\
+     \u{20}                      (default: HETSIM_CACHE env, else off; `on` uses\n\
+     \u{20}                      target/hetsim-cache; stats print on stderr)\n\
+     \u{20}        --mode standard|async|uvm|uvm_prefetch|uvm_prefetch_async\n\
+     \u{20}        --trace FILE  --self-profile  record run|irregular|interjob|chaos|serve|trace\n\
+     \u{20}                      (.json/.jsonl stream; .csv, text, - = stdout render after)\n\
+     \u{20}        --format text|json            check report rendering\n\
+     \u{20}        --verify-specs                run `check` on the involved specs first\n\
+     \u{20}        --seed N --seeds N --retries N --rates R1,R2,...   chaos sweep grid\n\
+     \u{20}        --policy mode_packing|uvm_spillover|chaos_failover|mode_advisor|\n\
+     \u{20}                      slo_deadline|all\n\
+     \u{20}        --mix poisson|bursty|diurnal  --rate R  --gpus N  --requests N   serve\n\
+     \u{20}        --chaos  --intensities X1,X2,...  --deadline MS    serve resilience\n\
+     \u{20}        --threads N   worker threads for sweeps (default: HETSIM_THREADS,\n\
+     \u{20}                      then machine parallelism; output is identical at any N)\n\
+     `run --help` lists every valid workload name.";
 
-fn emit(table: &Table, csv: bool) {
+fn emit(table: &Table, csv: bool) -> Result<(), String> {
     if csv {
-        print!("{}", table.to_csv());
+        out!("{}", table.to_csv());
     } else {
-        println!("{table}");
+        outln!("{table}");
     }
+    Ok(())
 }
 
 /// The registry of every runnable workload, grouped, one per line.
@@ -308,7 +329,7 @@ fn cmd_list() -> Result<(), String> {
             e.description.into(),
         ]);
     }
-    println!("{t}");
+    outln!("{t}");
     Ok(())
 }
 
@@ -349,12 +370,12 @@ fn fault_stats_table(rows: &[(String, TransferMode, hetsim_runtime::RunReport)])
 /// the requested format, and fails per the `--deny warnings` policy.
 fn cmd_check(args: &Args) -> Result<(), String> {
     if args.help {
-        println!(
+        outln!(
             "usage: hetsim-cli check [--all | <workload>] [--size S] [--deny warnings] \
              [--format text|json]\n\
              workloads:"
         );
-        print!("{}", workload_registry());
+        out!("{}", workload_registry());
         return Ok(());
     }
     let target = args
@@ -378,8 +399,8 @@ fn cmd_check(args: &Args) -> Result<(), String> {
         ),
     };
     match args.format.as_deref() {
-        Some("json") => println!("{}", report.to_json()),
-        _ => println!("{}", report.to_text()),
+        Some("json") => outln!("{}", report.to_json()),
+        _ => outln!("{}", report.to_text()),
     }
     eprintln!(
         "checked {checked} workload{} at {}",
@@ -408,16 +429,16 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 /// workload or (with `--all`, or no operand) the full registry, printing
 /// each workload's per-mode base-run cost ranking with rationale plus
 /// any `SAN-P*` advisory lints. JSON output is an array of
-/// advice objects (one per workload); the shape is pinned by a CI golden
+/// advice objects (one per workload); the shape is pinned by a golden
 /// test. `--deny warnings` exits non-zero when any advisory fires.
 fn cmd_advise(args: &Args) -> Result<(), String> {
     if args.help {
-        println!(
+        outln!(
             "usage: hetsim-cli advise [--all | <workload>] [--size S] [--deny warnings] \
              [--format text|json]\n\
              workloads:"
         );
-        print!("{}", workload_registry());
+        out!("{}", workload_registry());
         return Ok(());
     }
     let device = hetsim_runtime::Device::a100_epyc();
@@ -441,10 +462,10 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
 
     if args.format.as_deref() == Some("json") {
         let body: Vec<String> = advices.iter().map(|a| a.to_json()).collect();
-        println!("[{}]", body.join(","));
+        outln!("[{}]", body.join(","));
     } else {
         for advice in &advices {
-            println!(
+            outln!(
                 "{} @ {} on {} — best: {}",
                 advice.workload,
                 args.size,
@@ -471,9 +492,9 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
                     p.rationale.clone(),
                 ]);
             }
-            emit(&t, args.csv);
+            emit(&t, args.csv)?;
             if !advice.report.diagnostics.is_empty() {
-                println!("{}", advice.report.to_text());
+                outln!("{}", advice.report.to_text());
             }
         }
     }
@@ -530,11 +551,11 @@ fn verify_specs(args: &Args, workload: Option<&str>) -> Result<(), String> {
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     if args.help {
-        println!(
+        outln!(
             "usage: hetsim-cli run <workload> [--size S] [--runs N] [--mode M] [--csv] [--trace FILE]\n\
              workloads:"
         );
-        print!("{}", workload_registry());
+        out!("{}", workload_registry());
         return Ok(());
     }
     let name = args
@@ -560,35 +581,43 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         // Single-mode run: the paper's three-way breakdown plus the UVM
         // fault-batcher profile of the deterministic base run.
         let mode = parse_mode(mode_name)?;
-        let report = exp.base_run(&w, mode);
-        println!(
+        // With --trace, the traced run's report is the one printed: the
+        // base run is the same value by determinism, so it is not
+        // simulated a second time.
+        let trace_out = TraceOut::from_args(args);
+        let (report, trace) = match &trace_out {
+            Some(out) => {
+                let (report, trace) = exp.traced_run(&w, mode, out.sink()?);
+                (report, Some(trace))
+            }
+            None => (exp.base_run(&w, mode), None),
+        };
+        outln!(
             "{name} @ {} [{}] ({} MB footprint)",
             args.size,
             mode.name(),
             hetsim_runtime::GpuProgram::footprint(&w) >> 20
         );
-        println!("{report}");
+        outln!("{report}");
         if mode.uses_uvm() {
             emit(
                 &fault_stats_table(&[(name.to_string(), mode, report)]),
                 args.csv,
-            );
+            )?;
         }
-        if let Some(out) = TraceOut::from_args(args) {
-            // A second, traced base run; identical content by determinism.
-            let (_, trace) = exp.traced_run(&w, mode, out.sink()?);
+        if let (Some(out), Some(trace)) = (trace_out, trace) {
             out.finish(&trace)?;
         }
         return Ok(());
     }
     let cmp = exp.compare_modes(&w);
-    println!(
+    outln!(
         "{name} @ {} ({} runs, {} MB footprint)",
         args.size,
         args.runs,
         hetsim_runtime::GpuProgram::footprint(&w) >> 20
     );
-    emit(&cmp.to_table(), args.csv);
+    emit(&cmp.to_table(), args.csv)?;
     if let Some(out) = TraceOut::from_args(args) {
         // One recording with all five modes back to back on the timeline,
         // merged in mode order: the same bytes at every --threads N.
@@ -625,12 +654,13 @@ fn cmd_irregular(args: &Args) -> Result<(), String> {
     verify_specs(args, None)?;
     let exp = experiment(args).with_trace(trace_config(args));
     let s = figures::irregular(&exp, args.size);
-    println!(
+    outln!(
         "irregular study (bfs/kmeans/pathfinder) @ {} ({} runs)",
-        args.size, args.runs
+        args.size,
+        args.runs
     );
-    emit(&s.to_table(), args.csv);
-    emit(&Headline::from_suite(&s).to_table(), args.csv);
+    emit(&s.to_table(), args.csv)?;
+    emit(&Headline::from_suite(&s).to_table(), args.csv)?;
     // The memoized base runs: `figures::irregular` already simulated the
     // trio under plain uvm, so these lookups are free.
     let mut rows: Vec<(String, TransferMode, hetsim_runtime::RunReport)> = Vec::new();
@@ -640,7 +670,7 @@ fn cmd_irregular(args: &Args) -> Result<(), String> {
         let r = exp.base_run(&w, TransferMode::Uvm);
         rows.push((name.to_string(), TransferMode::Uvm, r));
     }
-    emit(&fault_stats_table(&rows), args.csv);
+    emit(&fault_stats_table(&rows), args.csv)?;
     if let Some(out) = TraceOut::from_args(args) {
         // The trio's plain-uvm base runs back to back as one recording:
         // each run carries its own mode/device labels, and the merge
@@ -667,14 +697,14 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     use hetsim::degradation::{ChaosSweep, ChaosSweepConfig};
     use hetsim_runtime::FaultPlan;
     if args.help {
-        println!(
+        outln!(
             "usage: hetsim-cli chaos [<workload>...] [--all] [--size S] [--mode M]\n\
              \u{20}       [--seed N] [--seeds N] [--retries N] [--rates R1,R2,...]\n\
              \u{20}       [--format json] [--out FILE] [--trace FILE] [--csv]\n\
              default workloads: bfs kmeans pathfinder vector_seq; --all sweeps the registry\n\
              workloads:"
         );
-        print!("{}", workload_registry());
+        out!("{}", workload_registry());
         return Ok(());
     }
     let mut cfg = ChaosSweepConfig {
@@ -722,7 +752,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 
     let exp = experiment(args);
     let sweep = ChaosSweep::run(&exp, &cfg);
-    println!(
+    outln!(
         "chaos sweep @ {} [{}]: {} workloads x {} intensities x {} seeds",
         args.size,
         cfg.mode.name(),
@@ -731,8 +761,8 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         cfg.seeds,
     );
     match args.format.as_deref() {
-        Some("json") => println!("{}", sweep.to_json()),
-        _ => emit(&sweep.to_table(), args.csv),
+        Some("json") => outln!("{}", sweep.to_json()),
+        _ => emit(&sweep.to_table(), args.csv)?,
     }
     if let Some(path) = args.out.as_deref() {
         std::fs::write(path, sweep.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -778,7 +808,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         ClusterTopology, Fleet, PolicyKind, ResilienceConfig, ServeConfig, ServeReport, ServeSweep,
     };
     if args.help {
-        println!(
+        outln!(
             "usage: hetsim-cli serve [--policy P|all] [--mix M] [--rate R | --rates R1,R2,...]\n\
              \u{20}       [--gpus N] [--requests N] [--size S] [--seed N] [--format json]\n\
              \u{20}       [--out FILE] [--csv] [--trace FILE]\n\
@@ -914,11 +944,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .run(&fleet)
         };
         match args.format.as_deref() {
-            Some("json") => print!("{}", report.to_json()),
+            Some("json") => out!("{}", report.to_json()),
             _ => {
-                emit(&report.to_table(), args.csv);
+                emit(&report.to_table(), args.csv)?;
                 if let [cell] = report.cells.as_slice() {
-                    emit(&cell.report.device_table(), args.csv);
+                    emit(&cell.report.device_table(), args.csv)?;
                 }
             }
         }
@@ -954,11 +984,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
 
     match args.format.as_deref() {
-        Some("json") => print!("{}", report.to_json()),
+        Some("json") => out!("{}", report.to_json()),
         _ => {
-            emit(&report.to_table(), args.csv);
+            emit(&report.to_table(), args.csv)?;
             if let [cell] = report.cells.as_slice() {
-                emit(&cell.device_table(), args.csv);
+                emit(&cell.device_table(), args.csv)?;
             }
         }
     }
@@ -1094,7 +1124,7 @@ impl TraceOut {
             TraceFormat::Text => trace.to_text(),
         };
         if path == "-" {
-            print!("{contents}");
+            out!("{contents}");
             return Ok(());
         }
         // Status note on stderr: stdout may be carrying a machine-readable
@@ -1135,9 +1165,9 @@ fn cmd_micro(args: &Args) -> Result<(), String> {
     let t = std::time::Instant::now();
     let s = figures::fig7(&exp, args.size);
     let grid = t.elapsed();
-    println!("Fig 7: microbenchmarks @ {}", args.size);
-    emit(&s.to_table(), args.csv);
-    emit(&Headline::from_suite(&s).to_table(), args.csv);
+    outln!("Fig 7: microbenchmarks @ {}", args.size);
+    emit(&s.to_table(), args.csv)?;
+    emit(&Headline::from_suite(&s).to_table(), args.csv)?;
     report_memo_profile(&exp, args, grid);
     Ok(())
 }
@@ -1148,10 +1178,10 @@ fn cmd_apps(args: &Args) -> Result<(), String> {
     let t = std::time::Instant::now();
     let s = figures::fig8_at(&exp, args.size);
     let grid = t.elapsed();
-    println!("Fig 8: applications @ {}", args.size);
-    emit(&s.to_table(), args.csv);
-    emit(&Headline::from_suite(&s).to_table(), args.csv);
-    emit(&Section6::from_suite(&s).to_table(), args.csv);
+    outln!("Fig 8: applications @ {}", args.size);
+    emit(&s.to_table(), args.csv)?;
+    emit(&Headline::from_suite(&s).to_table(), args.csv)?;
+    emit(&Section6::from_suite(&s).to_table(), args.csv)?;
     report_memo_profile(&exp, args, grid);
     Ok(())
 }
@@ -1159,8 +1189,8 @@ fn cmd_apps(args: &Args) -> Result<(), String> {
 fn cmd_counters(args: &Args) -> Result<(), String> {
     let exp = experiment(args);
     let c = figures::fig9_fig10(&exp, args.size);
-    println!("Figs 9/10: counters @ {}", args.size);
-    emit(&c.to_table(), args.csv);
+    outln!("Figs 9/10: counters @ {}", args.size);
+    emit(&c.to_table(), args.csv)?;
     Ok(())
 }
 
@@ -1173,8 +1203,8 @@ fn cmd_sensitivity(args: &Args) -> Result<(), String> {
         "carveout" => figures::fig13(&exp, args.size),
         other => return Err(format!("unknown study {other} (blocks|threads|carveout)")),
     };
-    println!("sensitivity ({study}) @ {}", args.size);
-    emit(&sweep.to_table(), args.csv);
+    outln!("sensitivity ({study}) @ {}", args.size);
+    emit(&sweep.to_table(), args.csv)?;
     Ok(())
 }
 
@@ -1200,11 +1230,12 @@ fn cmd_interjob(args: &Args) -> Result<(), String> {
             hetsim_trace::session::finish().ok_or("trace session vanished before export")?;
         out.finish(&trace)?;
     }
-    println!(
+    outln!(
         "Fig 14: inter-job pipeline, {name} @ {} x {} jobs",
-        args.size, args.jobs
+        args.size,
+        args.jobs
     );
-    emit(&pipeline.to_table(), args.csv);
+    emit(&pipeline.to_table(), args.csv)?;
     Ok(())
 }
 
@@ -1215,11 +1246,11 @@ fn cmd_alternatives(args: &Args) -> Result<(), String> {
         .ok_or("alternatives needs --workload")?;
     let w = suite::by_name(name, args.size).ok_or_else(|| format!("unknown workload {name}"))?;
     let runner = hetsim_runtime::Runner::new(hetsim_runtime::Device::a100_epyc());
-    println!("transfer-hiding alternatives: {name} @ {}", args.size);
+    outln!("transfer-hiding alternatives: {name} @ {}", args.size);
     emit(
         &hetsim::extensions::alternatives_table(&runner, &w),
         args.csv,
-    );
+    )?;
     Ok(())
 }
 
@@ -1292,7 +1323,7 @@ fn cmd_figures(args: &Args) -> Result<(), String> {
     for (name, contents) in files {
         let path = format!("{out}/{name}");
         std::fs::write(&path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }

@@ -11,19 +11,23 @@
 //!
 //! # Store layout
 //!
-//! One file per entry under `<root>/v1/<fnv64-of-key>.entry`, where `v1` is
+//! One file per entry under `<root>/v2/<fnv64-of-key>.entry`, where `v2` is
 //! the record format version ([`FORMAT_VERSION`]) — a codec change bumps the
 //! directory and orphans old entries rather than misreading them. Each
-//! entry is a line-record file: a header line, the *full* cache key, then
+//! entry is a line-record file: a header line, the *full* cache key,
 //! `field=value` lines for every component and counter of the
-//! [`RunReport`]. The hash only addresses the file; the stored key is
-//! compared byte-for-byte on load, so a hash collision degrades to a miss,
-//! never to a wrong result.
+//! [`RunReport`], then a `sum=` line sealing every byte before it with a
+//! 64-bit FNV-1a hash. The hash in the file name only addresses the file;
+//! the stored key is compared byte-for-byte on load, so a hash collision
+//! degrades to a miss, never to a wrong result. The seal does the same
+//! for a truncated or altered entry, which would otherwise parse into a
+//! plausible but wrong report.
 //!
 //! Timing fields are exact nanosecond integers and the two occupancy
 //! fractions are stored as IEEE-754 bit patterns, so a loaded report is
 //! bit-identical to the simulated one — warm and cold sweeps print
-//! byte-identical reports, which the CI cache gate asserts.
+//! byte-identical reports, which the CLI test
+//! `warm_cache_rerun_matches_cold_and_cache_admin_cycles` asserts.
 //!
 //! # Atomicity
 //!
@@ -54,10 +58,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version of the on-disk record format; also the store subdirectory name
-/// (`v1`). Bump when the entry codec changes shape.
-pub const FORMAT_VERSION: u32 = 1;
+/// (`v2`). Bump when the entry codec changes shape.
+pub const FORMAT_VERSION: u32 = 2;
 
-const HEADER: &str = "hetsim-cache 1";
+const HEADER: &str = "hetsim-cache 2";
 const ENTRY_EXT: &str = "entry";
 
 /// The full identity of one cached base run.
@@ -171,13 +175,17 @@ impl DiskCache {
     }
 
     /// Looks up a base run. Returns `None` on any miss: absent entry,
-    /// key mismatch (hash collision), or corrupt record.
+    /// key mismatch (hash collision), or corrupt record. Everything but
+    /// an absent entry also counts as an error.
     pub fn load(&self, key: &CacheKey) -> Option<RunReport> {
         let key_line = key.line();
         let text = match fs::read_to_string(self.entry_path(&key_line)) {
             Ok(t) => t,
-            Err(_) => {
+            Err(e) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                if e.kind() != io::ErrorKind::NotFound {
+                    self.errors.fetch_add(1, Ordering::Relaxed);
+                }
                 return None;
             }
         };
@@ -370,11 +378,21 @@ fn encode(key_line: &str, r: &RunReport) -> String {
         "occ.achieved_bits",
         r.counters.occupancy.achieved().to_bits(),
     );
+    let sum = fnv1a(out.as_bytes());
+    out.push_str(&format!("sum={sum}\n"));
     out
 }
 
 fn decode(expected_key: &str, text: &str) -> Option<RunReport> {
-    let mut lines = text.lines();
+    let sealed = text.strip_suffix('\n')?;
+    let body_len = sealed.rfind("\nsum=")? + 1;
+    let (body, sum) = (&sealed[..body_len], &sealed[body_len + "sum=".len()..]);
+    // Decimal has no leading zeros or letter case, so every altered byte of
+    // the sum changes the number it parses to.
+    if sum.parse::<u64>() != Ok(fnv1a(body.as_bytes())) {
+        return None;
+    }
+    let mut lines = body.lines();
     if lines.next()? != HEADER {
         return None;
     }
@@ -521,11 +539,11 @@ mod tests {
         let cache = DiskCache::at(&dir);
         cache.store(&key(), &rich_report());
         // Same file name cannot happen for a different key without a hash
-        // collision, so simulate one by rewriting the stored entry's key.
+        // collision, so simulate one: a well-formed entry for another key
+        // at this key's path.
         let entry = cache.entry_path(&key().line());
-        let text = fs::read_to_string(&entry).unwrap();
-        let forged = text.replace("mode=uvm", "mode=standard");
-        fs::write(&entry, forged).unwrap();
+        let other = CacheKey::new(&key().memo_key, TransferMode::Standard, key().device_hash);
+        fs::write(&entry, encode(&other.line(), &rich_report())).unwrap();
         assert_eq!(cache.load(&key()), None);
         assert_eq!(cache.stats().errors, 1);
         let _ = cache.clear();
@@ -537,7 +555,7 @@ mod tests {
         let cache = DiskCache::at(&dir);
         cache.store(&key(), &rich_report());
         let entry = cache.entry_path(&key().line());
-        fs::write(&entry, "hetsim-cache 1\nkey=garbage\n").unwrap();
+        fs::write(&entry, "hetsim-cache 2\nkey=garbage\n").unwrap();
         assert_eq!(cache.load(&key()), None);
         // A fresh store repairs the entry.
         cache.store(&key(), &rich_report());

@@ -12,8 +12,8 @@
 //!
 //! Cells are simulated through [`pool::run`], and every reduction happens
 //! in fixed grid-and-seed order after the join — so the rendered table and
-//! JSON are byte-identical at any `HETSIM_THREADS`, which the CI chaos
-//! gate asserts.
+//! JSON are byte-identical at any `HETSIM_THREADS`, which the CLI test
+//! `chaos_reports_and_traces_are_identical_at_1_and_4_threads` asserts.
 
 use crate::experiment::Experiment;
 use crate::pool;

@@ -17,7 +17,7 @@ use hetsim_runtime::{
     ChaosRunReport, Device, FaultPlan, GpuProgram, RecoveryPolicy, RunReport, Runner, SimError,
     TransferMode,
 };
-use hetsim_trace::{Dim, HostProfiler, Trace, TraceBuilder, TraceConfig, TraceSink};
+use hetsim_trace::{selfprof, Dim, Trace, TraceBuilder, TraceConfig, TraceSink};
 use std::sync::Arc;
 
 /// Memoized base runs, keyed on the program's structural fingerprint plus
@@ -233,8 +233,7 @@ impl Experiment {
             // labels are identical at every thread count.
             hetsim_trace::session::with(|b| b.set_label(Dim::Job, &job.to_string()));
         }
-        let profiler = HostProfiler::new();
-        let report = profiler.phase("simulate", || self.runner.run_base(program, mode));
+        let report = selfprof::phase("simulate", || self.runner.run_base(program, mode));
         let trace = hetsim_trace::session::finish().expect("trace session active");
         (report, trace)
     }
@@ -266,7 +265,7 @@ impl Experiment {
         let runs: Vec<(RunReport, Trace)> = pool::run(TransferMode::ALL.len(), |i| {
             self.traced_run(program, TransferMode::ALL[i], None)
         });
-        let started = std::time::Instant::now();
+        let started = selfprof::now_ns();
         let mut reports = Vec::with_capacity(runs.len());
         for (report, trace) in runs {
             let at = merged.now();
@@ -283,8 +282,8 @@ impl Experiment {
                 track,
                 hetsim_trace::Category::Host,
                 "trace_merge",
-                0,
-                started.elapsed().as_nanos() as u64,
+                started,
+                selfprof::now_ns() - started,
             );
         }
         (

@@ -40,9 +40,6 @@
 //! println!("{}", cmp.to_table());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod batch;
 pub mod cache;
 pub mod degradation;

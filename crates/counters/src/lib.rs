@@ -21,9 +21,6 @@
 //! assert_eq!(mix.get(InstClass::Control), 40);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cache;
 pub mod inst;
 pub mod occupancy;

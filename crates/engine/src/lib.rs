@@ -25,9 +25,6 @@
 //! assert_eq!((t, ev), (SimTime::from_nanos(1_000), "sooner"));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bandwidth;
 pub mod event;
 pub mod rng;

@@ -22,9 +22,6 @@
 //! staging (Fig 10), latency exposure at low thread counts (Fig 12), and
 //! shared-memory/L1 carveout sensitivity (Fig 13).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod config;
 pub mod exec;
 pub mod kernel;

@@ -20,9 +20,6 @@
 //! * [`link`] — the CPU↔GPU interconnect with per-path effective bandwidths
 //!   (pageable copy, pinned copy, UVM demand migration, bulk prefetch).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod addr;
 pub mod cache;
 pub mod carveout;

@@ -74,21 +74,6 @@ impl CpuGpuLink {
         }
     }
 
-    /// Builds a link with explicit per-path costs (ablation studies).
-    pub fn with_paths(
-        pageable: (Latency, Bandwidth),
-        pinned: (Latency, Bandwidth),
-        demand: (Latency, Bandwidth),
-        prefetch: (Latency, Bandwidth),
-    ) -> Self {
-        CpuGpuLink {
-            pageable,
-            pinned,
-            demand,
-            prefetch,
-        }
-    }
-
     fn path(&self, p: LinkPath) -> (Latency, Bandwidth) {
         match p {
             LinkPath::PageableCopy => self.pageable,

@@ -21,9 +21,6 @@
 //! | `uvm_prefetch` | `cudaMallocManaged` | bulk prefetch + residual faults | + warm L2 |
 //! | `uvm_prefetch_async` | `cudaMallocManaged` | bulk prefetch + residual faults | `cp.async` + warm L2 |
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod alloc;
 pub mod device;
 pub mod mode;

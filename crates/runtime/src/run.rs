@@ -155,12 +155,6 @@ impl Runner {
         &self.device
     }
 
-    /// Replaces the kernel executor (e.g. to change the sampling width).
-    pub fn with_executor(mut self, executor: KernelExecutor) -> Self {
-        self.executor = executor;
-        self
-    }
-
     /// Arms fault injection: [`Runner::try_run_base`] will inject from
     /// `plan` and recover under `policy`. The infallible
     /// [`Runner::run_base`]/[`Runner::run`] paths stay chaos-free, so

@@ -60,9 +60,6 @@
 //! assert!(hetsim_sanitizer::check_schedule("demo", &s).is_clean(true));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod diag;
 pub mod perf;
 pub mod program;

@@ -53,9 +53,6 @@
 //! [`AdmissionPolicy`]: policy::AdmissionPolicy
 //! [`PlacementPolicy`]: policy::PlacementPolicy
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod arrival;
 pub mod fleet;
 pub mod metrics;

@@ -24,8 +24,9 @@
 //!
 //! The grid fans across `hetsim::pool` and is assembled in grid order
 //! (policy-major, then rate, then intensity), so tables and JSON are
-//! byte-identical at any `HETSIM_THREADS` — the CI serve-resilience gate
-//! compares the rendered report at 1 and 4 threads.
+//! byte-identical at any `HETSIM_THREADS` — the CLI test
+//! `serve_resilience_is_thread_invariant_and_separable` compares the
+//! rendered report at 1 and 4 threads.
 
 use crate::arrival::{ArrivalMix, ArrivalPlan};
 use crate::fleet::{Fleet, ServeConfig};

@@ -12,7 +12,7 @@ pub struct TraceConfig {
     /// (per-block GPU counters) are decimated to this grid at record time.
     pub counter_interval: Option<u64>,
     /// Whether host wall-clock self-profiling spans
-    /// ([`crate::HostProfiler`]) are recorded. Off by default so that
+    /// ([`crate::selfprof`]) are recorded. Off by default so that
     /// sim-only traces are byte-reproducible across machines.
     pub self_profile: bool,
 }
@@ -20,12 +20,6 @@ pub struct TraceConfig {
 impl TraceConfig {
     /// Default capacity: one million events (~56 MB worst case).
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// A configuration that records everything reproducibly (no host
-    /// wall-clock spans) — what the determinism tests use.
-    pub fn sim_only() -> Self {
-        TraceConfig::default()
-    }
 
     /// Enables host wall-clock self-profiling spans.
     pub fn with_self_profile(mut self) -> Self {

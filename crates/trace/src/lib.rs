@@ -51,9 +51,6 @@
 //! assert!(json.contains("\"ph\":\"X\""));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod chrome;
 pub mod config;
 pub mod csv;
@@ -72,6 +69,5 @@ pub use event::{Category, EventKind, TraceEvent, TrackId};
 pub use label::{Dim, LabelSet};
 pub use metrics::MetricsRegistry;
 pub use recorder::TraceBuilder;
-pub use selfprof::HostProfiler;
 pub use sink::{JsonlSink, SharedBuffer, StreamSummary, TraceSink};
 pub use trace::{Trace, Track};

@@ -9,7 +9,6 @@ use crate::sink::{StreamSummary, TraceSink};
 use crate::trace::{Trace, Track};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Records events into a bounded ring buffer.
 ///
@@ -72,7 +71,6 @@ pub struct TraceBuilder {
     last_counter_ts: HashMap<TrackId, HashMap<String, u64>>,
     sink: Option<Box<dyn TraceSink>>,
     sink_error: Option<String>,
-    export_origin: Instant,
 }
 
 impl std::fmt::Debug for TraceBuilder {
@@ -109,7 +107,6 @@ impl TraceBuilder {
             last_counter_ts: HashMap::new(),
             sink: None,
             sink_error: None,
-            export_origin: Instant::now(),
         }
     }
 
@@ -486,7 +483,7 @@ impl TraceBuilder {
         if self.events.is_empty() {
             return;
         }
-        let started = self.config.self_profile.then(Instant::now);
+        let started = self.config.self_profile.then(selfprof::now_ns);
         let chunk_len = self.events.len();
         let result = sink.chunk(&self.tracks, &self.symbols, &self.events);
         self.streamed += chunk_len as u64;
@@ -500,7 +497,7 @@ impl TraceBuilder {
             return;
         }
         if let Some(t0) = started {
-            selfprof::export_overhead_span(self, self.export_origin, t0, chunk_len);
+            selfprof::export_overhead_span(self, t0, chunk_len);
         }
     }
 

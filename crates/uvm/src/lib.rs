@@ -24,9 +24,6 @@
 //!   workloads;
 //! * [`space`] — [`UvmSpace`], the façade the runtime drives.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod fault;
 pub mod heuristic;
 pub mod page;

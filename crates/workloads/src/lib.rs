@@ -28,9 +28,6 @@
 //! assert!(vs.footprint() >= 256 << 20);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod apps;
 pub mod irregular;
 pub mod micro;

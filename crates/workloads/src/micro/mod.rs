@@ -67,31 +67,6 @@ pub fn vector_seq_shared(size: InputSize, shared_bytes: u64) -> Workload {
     )
 }
 
-/// `vector_seq` with a chosen arithmetic intensity (floating-point
-/// operations per element) — the knob Svedin et al.'s benchmark exposes.
-/// The paper's guidance turns on exactly this axis: memory-bound vectors
-/// gain from Async Memcpy, compute-bound kernels only pay its control
-/// overhead.
-pub fn vector_seq_intensity(size: InputSize, fp_per_elem: f64) -> Workload {
-    assert!(fp_per_elem >= 0.0, "intensity must be non-negative");
-    let mut w = vector_kernel_full(
-        "vector_seq",
-        size,
-        DEFAULT_BLOCKS,
-        DEFAULT_THREADS,
-        None,
-        DEFAULT_SHARED,
-    );
-    w.map_kernels(|k| {
-        use hetsim_gpu::kernel::KernelModel;
-        let lines = k.stream_bytes_per_block() / k.tiles_per_block() / LINE;
-        let e = elems(lines);
-        k.clone()
-            .with_ops(TileOps::new(fp_per_elem * e, 2.0 * e, 0.5 * e))
-    });
-    w
-}
-
 /// `vector_rand`: the same arithmetic with hash-random element access.
 pub fn vector_rand(size: InputSize) -> Workload {
     let total_lines = size.grid_1d() * 4 / LINE;

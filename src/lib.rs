@@ -6,6 +6,4 @@
 //! the substrate crates it re-exports; this package only re-exports the
 //! facade for convenience.
 
-#![forbid(unsafe_code)]
-
 pub use hetsim::*;

@@ -3,8 +3,9 @@
 //! that tracing never perturbs simulation results.
 
 use hetsim::experiment::Experiment;
+use hetsim::pool;
 use hetsim_runtime::{GpuProgram, TransferMode};
-use hetsim_trace::{Category, MetricsRegistry, TraceConfig};
+use hetsim_trace::{Category, Dim, MetricsRegistry, TraceConfig};
 use hetsim_workloads::{micro, suite, InputSize};
 
 /// The central accounting contract: the runtime emits exactly one phase
@@ -195,4 +196,43 @@ fn traced_modes_concatenates_all_five_runs() {
     assert!(trace.category_count(Category::Kernel) >= 5);
     let alloc: u64 = reports.iter().map(|r| r.alloc.as_nanos()).sum();
     assert_eq!(trace.category_total(Category::Alloc), alloc);
+}
+
+/// Every host span is stamped against one process-wide origin. At one
+/// thread the five per-mode `host.simulate` spans of a self-profiled
+/// `traced_modes` run one after another, in mode order, and the merge
+/// starts no earlier than the last of them ends.
+#[test]
+fn self_profiled_traced_modes_share_one_host_clock() {
+    let w = micro::saxpy(InputSize::Tiny);
+    let exp = Experiment::new().with_trace(TraceConfig::default().with_self_profile());
+    let (_, trace) = pool::with_threads(1, || exp.traced_modes(&w, None));
+    let host = |name: &str| trace.track_spans(trace.find_track(name).expect(name));
+
+    let simulate = host("host.simulate");
+    let modes: Vec<&str> = simulate
+        .iter()
+        .map(|e| trace.label(e, Dim::Job).expect("job label"))
+        .collect();
+    assert_eq!(
+        modes,
+        ["0", "1", "2", "3", "4"],
+        "simulate spans in mode order"
+    );
+    for pair in simulate.windows(2) {
+        assert!(
+            pair[0].end() <= pair[1].ts,
+            "simulate spans overlap: {:?} then {:?}",
+            (pair[0].ts, pair[0].end()),
+            (pair[1].ts, pair[1].end())
+        );
+    }
+    let merge = host("host.trace_merge");
+    assert_eq!(merge.len(), 1);
+    assert!(
+        merge[0].ts >= simulate[4].end(),
+        "trace_merge starts at {} before the last simulate span ends at {}",
+        merge[0].ts,
+        simulate[4].end()
+    );
 }
