@@ -337,10 +337,12 @@ impl HealthTimeline {
         }
     }
 
-    /// Fraction of the device's HBM capacity usable at `at` (1.0 unless
-    /// degraded, when the carveout shrinks).
-    pub fn capacity_factor(&self, device: usize, at: Nanos) -> f64 {
-        if self.state(device, at) == HealthState::Degraded {
+    /// Fraction of a device's HBM capacity usable in `health` (1.0 unless
+    /// degraded, when the carveout shrinks). Takes the state rather than
+    /// `(device, at)` so a caller that already read it does not scan the
+    /// episodes again.
+    pub fn capacity_factor(&self, health: HealthState) -> f64 {
+        if health == HealthState::Degraded {
             self.plan.carveout_shrink
         } else {
             1.0
@@ -463,7 +465,8 @@ mod tests {
         // Degraded-phase throttles apply only while degraded.
         assert_eq!(tl.service_penalty(0, t0), plan.service_penalty);
         assert_eq!(tl.link_factor(0, t0), plan.link_degrade);
-        assert_eq!(tl.capacity_factor(0, t0), plan.carveout_shrink);
+        assert_eq!(tl.capacity_factor(tl.state(0, t0)), plan.carveout_shrink);
+        assert_eq!(tl.capacity_factor(tl.state(0, recovered)), 1.0);
         assert_eq!(tl.service_penalty(0, recovered), 1.0);
     }
 

@@ -39,6 +39,6 @@ pub use hetsim_chaos::{
 pub use mode::TransferMode;
 pub use program::{BufferRole, BufferSpec, BufferSpecError, GpuProgram, PageTouch};
 pub use report::RunReport;
-pub use run::{ChaosRunReport, Runner};
+pub use run::{ChaosRunReport, RunNoise, Runner};
 pub use stream::{BufferAccess, Engine, EventId, ScheduleItem, StreamId, StreamSchedule};
 pub use timeline::Timeline;

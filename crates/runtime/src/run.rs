@@ -139,6 +139,21 @@ impl ChaosRunReport {
     }
 }
 
+/// One run's measurement noise as multipliers on the base run's
+/// components ([`Runner::noise`]). `memcpy` includes the host
+/// DRAM-chip spill penalty.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunNoise {
+    /// Allocation-time factor.
+    pub alloc: f64,
+    /// Transfer-time factor.
+    pub memcpy: f64,
+    /// Kernel-time factor.
+    pub kernel: f64,
+    /// System-overhead factor.
+    pub system: f64,
+}
+
 impl Runner {
     /// Creates a runner for a device.
     pub fn new(device: Device) -> Self {
@@ -400,23 +415,42 @@ impl Runner {
         mode: TransferMode,
         run_index: u64,
     ) -> RunReport {
-        let dev = &self.device;
-        let mut rng =
-            SimRng::seed_from_parts(&["hetsim.run", program.name(), mode.name()], run_index);
-        let placement = dev.host.place(program.footprint(), &mut rng);
-        let spill_penalty = placement.transfer_penalty(dev.host.config().cross_chip_derate);
-
+        let noise = self.noise(program.name(), program.footprint(), mode, run_index);
         let mut report = RunReport {
-            alloc: base.alloc.scale(rng.jitter(dev.alloc_jitter, 0.5)),
-            memcpy: base
-                .memcpy
-                .scale(spill_penalty * rng.jitter(dev.copy_jitter, 0.5)),
-            kernel: base.kernel.scale(rng.jitter(dev.kernel_jitter, 0.5)),
-            system: base.system.scale(rng.jitter(dev.system_jitter, 0.5)),
+            alloc: base.alloc.scale(noise.alloc),
+            memcpy: base.memcpy.scale(noise.memcpy),
+            kernel: base.kernel.scale(noise.kernel),
+            system: base.system.scale(noise.system),
             counters: base.counters,
         };
         set_achieved_occupancy(&mut report);
         report
+    }
+
+    /// The measurement-noise factors of run `run_index` of the program
+    /// named `program` (working set `footprint` bytes) in `mode`: the one
+    /// draw sequence behind [`Runner::apply_noise`] — host placement
+    /// first, then the alloc, copy, kernel and system jitters. Callers
+    /// that keep a base run's components and the footprint can cost a
+    /// noisy run without building a [`RunReport`].
+    #[inline]
+    pub fn noise(
+        &self,
+        program: &str,
+        footprint: u64,
+        mode: TransferMode,
+        run_index: u64,
+    ) -> RunNoise {
+        let dev = &self.device;
+        let mut rng = SimRng::seed_from_parts(&["hetsim.run", program, mode.name()], run_index);
+        let placement = dev.host.place(footprint, &mut rng);
+        let spill_penalty = placement.transfer_penalty(dev.host.config().cross_chip_derate);
+        RunNoise {
+            alloc: rng.jitter(dev.alloc_jitter, 0.5),
+            memcpy: spill_penalty * rng.jitter(dev.copy_jitter, 0.5),
+            kernel: rng.jitter(dev.kernel_jitter, 0.5),
+            system: rng.jitter(dev.system_jitter, 0.5),
+        }
     }
 
     /// Explicit-copy path: `standard` and `async`.

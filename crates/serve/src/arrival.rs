@@ -91,7 +91,7 @@ impl ArrivalMix {
 
     /// The base (mean/quiet) arrival rate the mix was built from,
     /// requests per second.
-    pub fn base_rate(&self) -> f64 {
+    pub(crate) fn base_rate(&self) -> f64 {
         match *self {
             ArrivalMix::Poisson { rate_rps }
             | ArrivalMix::Bursty { rate_rps, .. }
@@ -114,7 +114,7 @@ impl ArrivalMix {
     /// # Panics
     ///
     /// Panics if the mix was constructed with a non-positive base rate.
-    pub fn rate_at(&self, t_s: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t_s: f64) -> f64 {
         match *self {
             ArrivalMix::Poisson { rate_rps } => {
                 assert!(rate_rps > 0.0, "arrival rate must be positive");
@@ -163,14 +163,6 @@ pub struct Request {
     /// resilience policies spend the remaining budget on retries and
     /// hedges, and deadline-aware admission sheds predicted misses.
     pub deadline: Nanos,
-}
-
-impl Request {
-    /// The request's remaining SLO budget at sim time `now` (zero once
-    /// the deadline has passed).
-    pub fn remaining_budget(&self, now: Nanos) -> Nanos {
-        self.deadline.saturating_sub(now)
-    }
 }
 
 /// A generated arrival sequence plus the parameters that produced it.
@@ -263,24 +255,6 @@ impl ArrivalPlan {
     pub fn full_catalog() -> Vec<&'static str> {
         suite::all_entries().iter().map(|e| e.name).collect()
     }
-
-    /// Sim-time span from the first arrival to the last.
-    pub fn span(&self) -> Nanos {
-        match (self.requests.first(), self.requests.last()) {
-            (Some(first), Some(last)) => last.arrival - first.arrival,
-            _ => Nanos::ZERO,
-        }
-    }
-
-    /// Observed mean arrival rate over the generated sequence, requests
-    /// per second (zero for a degenerate single-request plan).
-    pub fn observed_rate(&self) -> f64 {
-        let span_s = self.span().as_secs_f64();
-        if span_s <= 0.0 {
-            return 0.0;
-        }
-        (self.requests.len() as f64 - 1.0) / span_s
-    }
 }
 
 #[cfg(test)]
@@ -322,7 +296,9 @@ mod tests {
     #[test]
     fn observed_rate_tracks_requested_rate() {
         let plan = ArrivalPlan::generate(poisson(200.0), 42, 4000, &CATALOG, InputSize::Tiny);
-        let observed = plan.observed_rate();
+        // 3999 gaps between the first and the last of 4000 arrivals.
+        let span = plan.requests[3999].arrival - plan.requests[0].arrival;
+        let observed = 3999.0 / span.as_secs_f64();
         assert!(
             (observed / 200.0 - 1.0).abs() < 0.1,
             "observed {observed} rps should be within 10% of 200"
@@ -360,8 +336,6 @@ mod tests {
         );
         for r in &plan.requests {
             assert_eq!(r.deadline, r.arrival + budget);
-            assert_eq!(r.remaining_budget(r.arrival), budget);
-            assert_eq!(r.remaining_budget(r.deadline + budget), Nanos::ZERO);
         }
         // The default entry point applies DEFAULT_SLO_BUDGET without
         // perturbing the arrival sequence.

@@ -1,8 +1,9 @@
 //! The fleet simulator: arrivals × policy × topology → a serving report.
 //!
-//! [`Fleet`] owns the expensive, shareable state — the cost model (one
-//! memoized base simulation per `(workload, mode)`, prewarmed in parallel
-//! through the pool executor) and the cluster topology. [`Fleet::serve`]
+//! [`Fleet`] owns the expensive, shareable state — the cost table (each
+//! workload's footprint and one base simulation per `(workload, mode)`,
+//! prewarmed in parallel through the pool executor), the advisor's pick
+//! per workload once asked for, and the cluster topology. [`Fleet::serve`]
 //! then plays one arrival plan through one policy in a **single serial
 //! pass in arrival order**: that pass is the determinism backbone, so no
 //! thread count can reorder placement decisions. Parallelism lives where
@@ -28,18 +29,20 @@
 use crate::arrival::{ArrivalMix, ArrivalPlan};
 use crate::metrics::{DeviceUtilization, LatencyAccumulator, PolicyReport, ServeReport};
 use crate::policy::{Admission, DeviceView, FleetView, ModeCosts, PolicyKind, ServingPolicy};
-use crate::resilience::ResilienceConfig;
+use crate::resilience::{Attempts, Resilience, ResilienceConfig};
 use crate::topology::ClusterTopology;
 use hetsim::batch::JobStages;
 use hetsim::{pool, Experiment};
 use hetsim_engine::rng::SimRng;
 use hetsim_engine::time::Nanos;
 use hetsim_runtime::{
-    ChaosOverhead, GpuProgram, HealthState, HealthTimeline, LifecycleEvent, TransferMode,
+    ChaosOverhead, Device, GpuProgram, HealthState, HealthTimeline, LifecycleEvent, TransferMode,
 };
 use hetsim_trace::{Category, Dim, Trace, TraceBuilder, TraceConfig, TraceSink};
 use hetsim_workloads::spec::Workload;
 use hetsim_workloads::{suite, InputSize};
+use std::collections::{HashMap, VecDeque};
+use std::sync::OnceLock;
 
 /// Configuration of one serving cell.
 #[derive(Debug, Clone)]
@@ -133,13 +136,17 @@ pub struct FleetOutcome {
     pub hedges: usize,
 }
 
-/// Internal per-device scheduling state for the serial pass.
+/// Per-device scheduling state for the serial pass.
 #[derive(Debug, Clone, Default)]
-struct DeviceState {
+pub(crate) struct DeviceState {
     cpu_free: Nanos,
     gpu_free: Nanos,
-    /// In-flight working sets: `(completion, bytes)`.
-    inflight: Vec<(Nanos, u64)>,
+    /// In-flight working sets `(completion, bytes)`, in completion order:
+    /// a device's GPU stages run back to back, so each request placed on
+    /// it completes no earlier than the one before.
+    inflight: VecDeque<(Nanos, u64)>,
+    /// Sum of the in-flight bytes.
+    committed: u64,
     busy: Nanos,
     completed: usize,
     peak_committed: u64,
@@ -149,15 +156,71 @@ struct DeviceState {
 impl DeviceState {
     /// Drops working sets completed by `now` and returns committed bytes.
     fn settle(&mut self, now: Nanos) -> u64 {
-        self.inflight.retain(|&(done, _)| done > now);
-        self.inflight.iter().map(|&(_, b)| b).sum()
+        while let Some(&(done, bytes)) = self.inflight.front() {
+            if done > now {
+                break;
+            }
+            self.committed -= bytes;
+            self.inflight.pop_front();
+        }
+        self.committed
     }
+
+    /// When this device's GPU queue drains: the peer order of the
+    /// recovery walk.
+    pub(crate) fn gpu_free(&self) -> Nanos {
+        self.gpu_free
+    }
+
+    /// Where `slot` would run here, without booking it: `(cpu_start,
+    /// completion)` by the same two-stage recurrence as [`DeviceState::run`].
+    pub(crate) fn peek(&self, slot: Slot) -> (Nanos, Nanos) {
+        let (mut cpu_free, mut gpu_free) = (self.cpu_free, self.gpu_free);
+        let (cpu_start, _) =
+            two_stage_step(slot.release, slot.stages, &mut cpu_free, &mut gpu_free);
+        (cpu_start, gpu_free)
+    }
+
+    /// Counts a failed placement attempt against this device.
+    pub(crate) fn fail(&mut self) {
+        self.consecutive_failures += 1;
+    }
+
+    /// Runs `slot`'s stages on this device (the two-stage recurrence),
+    /// books its working set and ends its failure streak: returns
+    /// `(cpu_start, gpu_start)`.
+    fn run(&mut self, slot: Slot, footprint: u64) -> (Nanos, Nanos) {
+        self.consecutive_failures = 0;
+        let (cpu_start, gpu_start) = two_stage_step(
+            slot.release,
+            slot.stages,
+            &mut self.cpu_free,
+            &mut self.gpu_free,
+        );
+        let done = gpu_start + slot.stages.gpu;
+        debug_assert!(self.inflight.back().is_none_or(|&(last, _)| last <= done));
+        self.busy += slot.stages.gpu;
+        self.completed += 1;
+        self.inflight.push_back((done, footprint));
+        self.committed += footprint;
+        self.peak_committed = self.peak_committed.max(self.committed);
+        (cpu_start, gpu_start)
+    }
+}
+
+/// Where and when a request runs: its device, the release time of its
+/// CPU stage, and the stage costs it is charged there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub(crate) device: usize,
+    pub(crate) release: Nanos,
+    pub(crate) stages: JobStages,
 }
 
 /// The two-stage pipelined step shared with `InterJobPipeline` (see the
 /// module docs): returns `(cpu_start, gpu_start)` and advances the
 /// per-device availability clocks.
-fn two_stage_step(
+pub(crate) fn two_stage_step(
     release: Nanos,
     stages: JobStages,
     cpu_free: &mut Nanos,
@@ -171,31 +234,44 @@ fn two_stage_step(
     (cpu_start, gpu_start)
 }
 
+/// A mode's noise-free stage components from the prewarm base run.
+#[derive(Debug, Clone, Copy)]
+struct BaseStages {
+    alloc: Nanos,
+    memcpy: Nanos,
+    kernel: Nanos,
+}
+
+/// One catalog workload and its serving costs, filled once from the
+/// prewarm.
+#[derive(Debug)]
+struct CostRow {
+    workload: Workload,
+    /// Working-set bytes.
+    footprint: u64,
+    /// Base stages per mode, in `TransferMode::ALL` order, which is the
+    /// declaration order: indexed by `mode as usize`.
+    base: [BaseStages; TransferMode::ALL.len()],
+    /// The advisor's pick, computed the first time it is asked for.
+    advice: OnceLock<TransferMode>,
+}
+
 /// A GPU fleet with a prewarmed cost model, ready to serve arrival plans.
 pub struct Fleet {
     topology: ClusterTopology,
     experiment: Experiment,
-    catalog: Vec<&'static str>,
-    workloads: Vec<Workload>,
+    /// Catalog name → row of `costs`.
+    catalog: HashMap<&'static str, usize>,
+    costs: Vec<CostRow>,
     size: InputSize,
 }
 
 impl Fleet {
-    /// The transfer modes a shipped policy or the SLO degradation ladder
-    /// can place requests in; the prewarm grid covers exactly these.
-    const PREWARM_MODES: [TransferMode; 5] = [
-        TransferMode::Async,
-        TransferMode::UvmPrefetchAsync,
-        TransferMode::UvmPrefetch,
-        TransferMode::Uvm,
-        TransferMode::Standard,
-    ];
-
     /// Builds a fleet over `topology` serving the full workload registry
     /// at `size`, and prewarms the cost model: one deterministic base
-    /// simulation per `(workload, prewarm mode)`, fanned across the pool
-    /// executor (results land in the experiment's index-independent memo,
-    /// so thread count cannot affect anything downstream).
+    /// simulation per `(workload, transfer mode)`, fanned across the pool
+    /// executor and assembled in index order into the fleet's cost table,
+    /// so thread count cannot affect anything downstream.
     pub fn new(topology: ClusterTopology, size: InputSize) -> Fleet {
         Fleet::with_experiment(topology, size, Experiment::new())
     }
@@ -208,22 +284,35 @@ impl Fleet {
         size: InputSize,
         experiment: Experiment,
     ) -> Fleet {
-        let catalog = ArrivalPlan::full_catalog();
-        let workloads: Vec<Workload> = catalog
+        let names = ArrivalPlan::full_catalog();
+        let workloads: Vec<Workload> = names
             .iter()
             .map(|name| suite::by_name(name, size).expect("catalog names come from the registry"))
             .collect();
-        let grid = workloads.len() * Fleet::PREWARM_MODES.len();
-        pool::run(grid, |i| {
-            let w = &workloads[i / Fleet::PREWARM_MODES.len()];
-            let mode = Fleet::PREWARM_MODES[i % Fleet::PREWARM_MODES.len()];
-            experiment.base_run(w, mode);
+        let modes = TransferMode::ALL.len();
+        let base = pool::run(workloads.len() * modes, |i| {
+            let r = experiment.base_run(&workloads[i / modes], TransferMode::ALL[i % modes]);
+            BaseStages {
+                alloc: r.alloc,
+                memcpy: r.memcpy,
+                kernel: r.kernel,
+            }
         });
+        let costs = workloads
+            .into_iter()
+            .zip(base.chunks_exact(modes))
+            .map(|(workload, base)| CostRow {
+                footprint: workload.footprint(),
+                base: base.try_into().expect("one base run per mode"),
+                advice: OnceLock::new(),
+                workload,
+            })
+            .collect();
         Fleet {
             topology,
             experiment,
-            catalog,
-            workloads,
+            catalog: names.iter().enumerate().map(|(i, &n)| (n, i)).collect(),
+            costs,
             size,
         }
     }
@@ -233,22 +322,42 @@ impl Fleet {
         Fleet::new(ClusterTopology::nvlink_mesh(gpus), size)
     }
 
-    /// The cluster topology.
-    pub fn topology(&self) -> &ClusterTopology {
-        &self.topology
+    /// The stage costs the fleet charges request `run_index` of `workload`
+    /// in `mode`: the memoized base run with that run's measurement noise
+    /// (`run_index` is the request id, matching the batch harness
+    /// convention). `None` if the workload is not in the catalog.
+    pub fn request_stages(
+        &self,
+        workload: &str,
+        mode: TransferMode,
+        run_index: u64,
+    ) -> Option<JobStages> {
+        let row = *self.catalog.get(workload)?;
+        Some(self.noisy_stages(row, mode, run_index))
     }
 
-    /// The per-request stage costs of `catalog_idx` in `mode`, with the
-    /// run's deterministic measurement noise applied (`run_index` is the
-    /// request id, matching the batch harness convention).
-    fn stages(&self, catalog_idx: usize, mode: TransferMode, run_index: u64) -> JobStages {
-        let w = &self.workloads[catalog_idx];
-        let base = self.experiment.base_run(w, mode);
-        let noisy = self
-            .experiment
-            .runner()
-            .apply_noise(&base, w, mode, run_index);
-        JobStages::from_report(&noisy)
+    fn noisy_stages(&self, row: usize, mode: TransferMode, run_index: u64) -> JobStages {
+        let row = &self.costs[row];
+        let base = row.base[mode as usize];
+        let noise =
+            self.experiment
+                .runner()
+                .noise(row.workload.name(), row.footprint, mode, run_index);
+        JobStages {
+            cpu: base.alloc.scale(noise.alloc),
+            gpu: base.memcpy.scale(noise.memcpy) + base.kernel.scale(noise.kernel),
+        }
+    }
+
+    /// The advisor's pick for a catalog row, computed the first time it
+    /// is asked for and held for the fleet's lifetime.
+    fn advised_mode(&self, row: usize) -> TransferMode {
+        let row = &self.costs[row];
+        *row.advice.get_or_init(|| {
+            hetsim::verify::advise_program(&row.workload, &Device::a100_epyc())
+                .best()
+                .mode
+        })
     }
 
     /// Plays one serving cell: generates the arrival plan, admits and
@@ -260,7 +369,7 @@ impl Fleet {
             config.mix,
             config.seed,
             config.requests,
-            &self.catalog,
+            &ArrivalPlan::full_catalog(),
             self.size,
         );
         self.serve_plan(&plan, policy.as_ref(), config.seed)
@@ -285,7 +394,7 @@ impl Fleet {
             config.mix,
             config.seed,
             config.requests,
-            &self.catalog,
+            &ArrivalPlan::full_catalog(),
             self.size,
             res.slo_budget,
         );
@@ -309,6 +418,12 @@ impl Fleet {
 
     /// [`Fleet::serve`] with an explicit plan and policy instance (the
     /// extension point for custom policies).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request names a workload outside the registry or
+    /// carries another input size than the fleet's (its costs and advice
+    /// are the fleet's size).
     pub fn serve_plan(
         &self,
         plan: &ArrivalPlan,
@@ -323,6 +438,11 @@ impl Fleet {
     /// resilient branches are never entered — zero extra arithmetic, zero
     /// extra RNG draws — which is what makes an intensity-zero resilient
     /// run byte-identical to the plain one.
+    ///
+    /// Per request the pass does scheduling arithmetic only: costs come
+    /// from the fleet's table (a rung is priced when a policy reads it),
+    /// the device views are refilled in one reused buffer, and each
+    /// device's health is read once.
     fn run_plan(
         &self,
         plan: &ArrivalPlan,
@@ -331,7 +451,19 @@ impl Fleet {
         res: Option<&Resilience>,
     ) -> FleetOutcome {
         let n = self.topology.len();
+        let rows: Vec<usize> = plan
+            .requests
+            .iter()
+            .map(|r| {
+                assert_eq!(r.size, self.size, "request size differs from the fleet's");
+                *self
+                    .catalog
+                    .get(r.workload)
+                    .expect("request workloads come from the catalog")
+            })
+            .collect();
         let mut states = vec![DeviceState::default(); n];
+        let mut views: Vec<DeviceView> = Vec::with_capacity(n);
         let mut completed = Vec::new();
         let mut shed = Vec::new();
         let mut failovers = 0usize;
@@ -343,50 +475,45 @@ impl Fleet {
         // An armed-but-quiet timeline behaves exactly like no timeline.
         let active = res.filter(|r| !r.timeline.is_empty());
 
-        for req in &plan.requests {
-            let catalog_idx = self
-                .catalog
-                .iter()
-                .position(|&w| w == req.workload)
-                .expect("request workloads come from the catalog");
-            let footprint = self.workloads[catalog_idx].footprint();
+        for (req, &row) in plan.requests.iter().zip(&rows) {
+            let footprint = self.costs[row].footprint;
 
             // Snapshot the fleet as of this arrival.
-            let views: Vec<DeviceView> = states
-                .iter_mut()
-                .enumerate()
-                .map(|(index, s)| {
-                    let committed = s.settle(req.arrival);
-                    let base_capacity = self.topology.capacity(index);
-                    let (capacity, health) = match active {
-                        Some(r) => {
-                            let f = r.timeline.capacity_factor(index, req.arrival);
-                            let cap = if f < 1.0 {
-                                (base_capacity as f64 * f) as u64
-                            } else {
-                                base_capacity
-                            };
-                            (cap, r.timeline.state(index, req.arrival))
-                        }
-                        None => (base_capacity, HealthState::Healthy),
-                    };
-                    DeviceView {
-                        index,
-                        cpu_free: s.cpu_free,
-                        gpu_free: s.gpu_free,
-                        committed,
-                        capacity,
-                        inflight: s.inflight.len(),
-                        consecutive_failures: s.consecutive_failures,
-                        health,
+            views.clear();
+            views.extend(states.iter_mut().enumerate().map(|(index, s)| {
+                let committed = s.settle(req.arrival);
+                let base_capacity = self.topology.capacity(index);
+                let (capacity, health) = match active {
+                    Some(r) => {
+                        let health = r.timeline.state(index, req.arrival);
+                        let f = r.timeline.capacity_factor(health);
+                        let cap = if f < 1.0 {
+                            (base_capacity as f64 * f) as u64
+                        } else {
+                            base_capacity
+                        };
+                        (cap, health)
                     }
-                })
-                .collect();
+                    None => (base_capacity, HealthState::Healthy),
+                };
+                DeviceView {
+                    index,
+                    cpu_free: s.cpu_free,
+                    gpu_free: s.gpu_free,
+                    committed,
+                    capacity,
+                    inflight: s.inflight.len(),
+                    consecutive_failures: s.consecutive_failures,
+                    health,
+                }
+            }));
+            let price = |mode| self.noisy_stages(row, mode, req.id);
+            let advice = || self.advised_mode(row);
             let view = FleetView {
                 now: req.arrival,
                 devices: &views,
                 topology: &self.topology,
-                costs: ModeCosts::from_fn(|mode| self.stages(catalog_idx, mode, req.id)),
+                costs: ModeCosts::new(&price, &advice),
             };
 
             // One deterministic RNG per request, independent of every
@@ -396,21 +523,21 @@ impl Fleet {
                 config_index(seed, req.id),
             );
 
-            match policy.admit(req, footprint, &view, &mut rng) {
-                Admission::Shed { reason } => {
-                    shed.push(ShedRequest {
-                        id: req.id,
-                        arrival: req.arrival,
-                        reason,
-                    });
-                    continue;
-                }
-                Admission::Accept => {}
+            if let Admission::Shed { reason } = policy.admit(req, footprint, &view, &mut rng) {
+                shed.push(ShedRequest {
+                    id: req.id,
+                    arrival: req.arrival,
+                    reason,
+                });
+                continue;
             }
 
             let placement = policy.place(req, footprint, &view, &mut rng);
             assert!(placement.device < n, "policy placed outside the fleet");
-            let stages = self.stages(catalog_idx, placement.mode, req.id);
+            let stages = view
+                .costs
+                .get(placement.mode)
+                .unwrap_or_else(|| price(placement.mode));
             let gpu_dur = if placement.gpu_scale > 1.0 {
                 stages.gpu.scale(placement.gpu_scale)
             } else {
@@ -419,162 +546,41 @@ impl Fleet {
 
             // Chaos bookkeeping before the schedule advances.
             for &failed in &placement.failed_devices {
-                states[failed].consecutive_failures += 1;
+                states[failed].fail();
             }
-            failovers += placement.failed_devices.len();
-
-            let base_release = req.arrival + placement.queue_delay;
-            let mut failed_devices = placement.failed_devices;
-            let mut recovery = ChaosOverhead::default();
-            let mut hedged = false;
-
-            // Resolve (device, release, stages) — trivially on the
-            // fault-free path, through the deadline-budgeted attempt walk
-            // when a lifecycle timeline is armed.
-            let resolved: Result<(usize, Nanos, JobStages), &'static str> = match active {
-                None => Ok((
-                    placement.device,
-                    base_release,
-                    JobStages {
-                        cpu: stages.cpu,
-                        gpu: gpu_dur,
-                    },
-                )),
-                Some(r) => {
-                    let tl = &r.timeline;
-                    let cfg = &r.cfg;
-                    // Candidate order: the policy's pick, then peers by
-                    // queue depth. The walk is bounded by the retry
-                    // budget and by the deadline: a hop is only taken if
-                    // backoff + re-staging still make the SLO.
-                    let mut order: Vec<usize> = Vec::with_capacity(n);
-                    order.push(placement.device);
-                    let mut rest: Vec<usize> = (0..n).filter(|&i| i != placement.device).collect();
-                    rest.sort_by_key(|&i| (views[i].gpu_free, i));
-                    order.extend(rest);
-                    let max_attempts = (cfg.recovery.max_retries as usize + 1).min(order.len());
-
-                    let mut committed: Option<(usize, Nanos, JobStages)> = None;
-                    // A primary that can run the request late (degraded
-                    // or just queued): kept as the fallback if no peer
-                    // beats the deadline.
-                    let mut fallback: Option<(usize, Nanos, JobStages, Nanos)> = None;
-                    let mut pending_backoff = Nanos::ZERO;
-                    let mut hedge_pending = false;
-                    let mut saw_viable = false;
-
-                    for (attempt, &cand) in order.iter().take(max_attempts).enumerate() {
-                        // The hop cost: backoff owed from a previous
-                        // failure, plus re-staging the working set over
-                        // the (possibly degraded) peer link.
-                        let mut hop = ChaosOverhead::default();
-                        let mut release = base_release;
-                        if attempt > 0 {
-                            hop.system += pending_backoff;
-                            release += pending_backoff;
-                            let link = tl
-                                .link_factor(placement.device, release)
-                                .max(tl.link_factor(cand, release));
-                            let restage = self
-                                .topology
-                                .peer_transfer_time(placement.device, cand, footprint)
-                                .scale(link);
-                            hop.memcpy += restage;
-                            release += restage;
-                        }
-                        if !tl.accepts(cand, release) {
-                            // Failed before any data moved: only the
-                            // backoff is sunk.
-                            recovery.system += hop.system;
-                            pending_backoff = cfg.recovery.backoff(attempt as u32);
-                            states[cand].consecutive_failures += 1;
-                            failed_devices.push(cand);
-                            failovers += 1;
-                            continue;
-                        }
-                        let penalty = tl.service_penalty(cand, release);
-                        let slow_gpu = if penalty > 1.0 {
-                            gpu_dur.scale(penalty)
-                        } else {
-                            gpu_dur
-                        };
-                        let rs = JobStages {
-                            cpu: stages.cpu,
-                            gpu: slow_gpu,
-                        };
-                        let s = &states[cand];
-                        let cpu_start = release.max(s.cpu_free);
-                        let done = (cpu_start + rs.cpu).max(s.gpu_free) + rs.gpu;
-                        let quarantined_mid_run = tl
-                            .next_quarantine_start(cand, release)
-                            .map(|q| q <= done)
-                            .unwrap_or(false);
-                        if quarantined_mid_run {
-                            // The attempt started and died mid-run:
-                            // backoff, re-staging, and the partial work
-                            // are all sunk cost.
-                            let q = tl
-                                .next_quarantine_start(cand, release)
-                                .expect("checked above");
-                            recovery.system += hop.system + q.saturating_sub(cpu_start);
-                            recovery.memcpy += hop.memcpy;
-                            pending_backoff = cfg.recovery.backoff(attempt as u32);
-                            states[cand].consecutive_failures += 1;
-                            failed_devices.push(cand);
-                            failovers += 1;
-                            continue;
-                        }
-                        let extra_kernel = slow_gpu.saturating_sub(gpu_dur);
-                        if done > req.deadline {
-                            saw_viable = true;
-                            if attempt == 0 {
-                                fallback = Some((cand, release, rs, extra_kernel));
-                                if cfg.hedging && penalty > 1.0 {
-                                    // Late *because it degraded*: hedge
-                                    // onto a peer if one makes the SLO.
-                                    hedge_pending = true;
-                                    continue;
-                                }
-                                // Late from plain queueing: run it late,
-                                // exactly like the fault-free path.
-                                break;
-                            }
-                            // A hop that still misses is not worth paying
-                            // for.
-                            continue;
-                        }
-                        // Commit: the hop that lands charges its backoff
-                        // and re-staging; a degraded device charges its
-                        // service slowdown.
-                        recovery.system += hop.system;
-                        recovery.memcpy += hop.memcpy;
-                        recovery.kernel += extra_kernel;
-                        hedged = hedge_pending && attempt > 0;
-                        committed = Some((cand, release, rs));
-                        break;
-                    }
-                    if committed.is_none() {
-                        if let Some((cand, release, rs, extra_kernel)) = fallback {
-                            // No peer beats the deadline: run late on the
-                            // primary rather than shed runnable work.
-                            recovery.kernel += extra_kernel;
-                            committed = Some((cand, release, rs));
-                        }
-                    }
-                    committed.ok_or(if saw_viable {
-                        "deadline_exhausted"
-                    } else {
-                        "fleet_unavailable"
-                    })
-                }
+            let primary = Slot {
+                device: placement.device,
+                release: req.arrival + placement.queue_delay,
+                stages: JobStages {
+                    cpu: stages.cpu,
+                    gpu: gpu_dur,
+                },
             };
-
-            let (d, release, run_stages) = match resolved {
-                Ok(t) => t,
+            let mut attempts = Attempts {
+                failed_devices: placement.failed_devices,
+                ..Attempts::default()
+            };
+            // Resolve the slot — trivially on the fault-free path,
+            // through the deadline-budgeted attempt walk when a lifecycle
+            // timeline is armed.
+            let landed = match active {
+                None => Ok(primary),
+                Some(r) => r.walk(
+                    &self.topology,
+                    &mut states,
+                    primary,
+                    footprint,
+                    req.deadline,
+                    &mut attempts,
+                ),
+            };
+            failovers += attempts.failed_devices.len();
+            add_overhead(&mut recovery_total, attempts.recovery);
+            let slot = match landed {
+                Ok(slot) => slot,
                 Err(reason) => {
                     // Attempts exhausted: shed post-admission; the wasted
                     // attempt work still lands in the ledger.
-                    add_overhead(&mut recovery_total, recovery);
                     shed.push(ShedRequest {
                         id: req.id,
                         arrival: req.arrival,
@@ -583,40 +589,28 @@ impl Fleet {
                     continue;
                 }
             };
-            states[d].consecutive_failures = 0;
-            if hedged {
+            if attempts.hedged {
                 hedges += 1;
             }
-            add_overhead(&mut recovery_total, recovery);
 
-            let (cpu_start, gpu_start) = {
-                let s = &mut states[d];
-                two_stage_step(release, run_stages, &mut s.cpu_free, &mut s.gpu_free)
-            };
-            let done = gpu_start + run_stages.gpu;
-            latency.observe(done - req.arrival);
-            let s = &mut states[d];
-            s.busy += run_stages.gpu;
-            s.completed += 1;
-            s.inflight.push((done, footprint));
-            let committed_now: u64 = s.inflight.iter().map(|&(_, b)| b).sum();
-            s.peak_committed = s.peak_committed.max(committed_now);
+            let (cpu_start, gpu_start) = states[slot.device].run(slot, footprint);
+            latency.observe(gpu_start + slot.stages.gpu - req.arrival);
 
             completed.push(CompletedRequest {
                 id: req.id,
                 workload: req.workload,
                 mode: placement.mode,
-                device: d,
+                device: slot.device,
                 arrival: req.arrival,
                 queue_delay: placement.queue_delay,
                 cpu_start,
                 cpu_dur: stages.cpu,
                 gpu_start,
-                gpu_dur: run_stages.gpu,
-                failed_devices,
+                gpu_dur: slot.stages.gpu,
+                failed_devices: attempts.failed_devices,
                 deadline: req.deadline,
-                recovery,
-                hedged,
+                recovery: attempts.recovery,
+                hedged: attempts.hedged,
             });
         }
 
@@ -682,13 +676,6 @@ impl Fleet {
             hedges,
         }
     }
-}
-
-/// The armed state one resilient run carries: the generated health
-/// timeline plus the configuration that produced it.
-struct Resilience {
-    timeline: HealthTimeline,
-    cfg: ResilienceConfig,
 }
 
 /// Accumulates one request's recovery ledger into the run total
@@ -924,6 +911,20 @@ mod tests {
         // A second job released earlier still queues behind the first.
         let (cpu2, _) = two_stage_step(Nanos::ZERO, j, &mut cpu_free, &mut gpu_free);
         assert_eq!(cpu2, Nanos::from_millis(15));
+    }
+
+    #[test]
+    #[should_panic(expected = "request size differs from the fleet's")]
+    fn a_plan_at_another_size_is_rejected() {
+        let plan = ArrivalPlan::generate(
+            ArrivalMix::Poisson { rate_rps: 500.0 },
+            1,
+            4,
+            &ArrivalPlan::full_catalog(),
+            InputSize::Small,
+        );
+        let policy = PolicyKind::ModeAdvisor.build();
+        small_fleet(1).serve_plan(&plan, policy.as_ref(), 1);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!
 //! 1. [`arrival::ArrivalPlan::generate`] samples a seeded request sequence.
 //! 2. [`topology::ClusterTopology`] describes the devices and their peer
-//!    links (NVLink / PCIe peer / NUMA-remote).
+//!    links (NVLink / NUMA-remote).
 //! 3. A [`policy`] implementation admits and places each request.
 //! 4. [`fleet::Fleet`] schedules per-device execution with the same
 //!    two-stage (CPU alloc / GPU work) recurrence as the batch
@@ -67,9 +67,8 @@ pub use metrics::{
     StreamingHistogram,
 };
 pub use policy::{
-    predicted_completion, Admission, AdmissionPolicy, ChaosFailover, FleetView, ModeAdvisor,
-    ModeCosts, ModePacking, Placement, PlacementPolicy, PolicyKind, ServingPolicy, SloDeadline,
-    UvmSpillover,
+    Admission, AdmissionPolicy, DeviceView, FleetView, ModeCosts, Placement, PlacementPolicy,
+    PolicyKind, ServingPolicy,
 };
 pub use resilience::{AvailabilityCell, AvailabilityReport, AvailabilitySweep, ResilienceConfig};
-pub use topology::{ClusterTopology, PeerClass, PeerLink};
+pub use topology::ClusterTopology;

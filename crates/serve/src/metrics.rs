@@ -65,7 +65,7 @@ impl StreamingHistogram {
     pub const RELATIVE_ERROR_BOUND: f64 = 1.0 / 256.0;
 
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StreamingHistogram {
             counts: vec![0; BUCKETS],
             count: 0,
@@ -75,7 +75,7 @@ impl StreamingHistogram {
     }
 
     /// Records one sample. O(1).
-    pub fn observe(&mut self, v: u64) {
+    pub(crate) fn observe(&mut self, v: u64) {
         self.counts[bucket_index(v)] += 1;
         self.count += 1;
         self.sum += u128::from(v);
@@ -83,12 +83,12 @@ impl StreamingHistogram {
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Exact integer mean (sum / count); zero when empty.
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -97,7 +97,7 @@ impl StreamingHistogram {
     }
 
     /// Exact maximum observed; zero when empty.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
@@ -108,7 +108,7 @@ impl StreamingHistogram {
     /// # Panics
     ///
     /// Panics if the histogram is empty or `p` is outside `[0, 100]`.
-    pub fn quantile(&self, p: f64) -> u64 {
+    pub(crate) fn quantile(&self, p: f64) -> u64 {
         assert!(self.count > 0, "quantile of an empty histogram");
         assert!((0.0..=100.0).contains(&p), "percentile out of [0,100]");
         if self.count == 1 {
@@ -223,14 +223,6 @@ impl LatencyAccumulator {
         }
     }
 
-    /// Number of samples recorded so far.
-    pub fn count(&self) -> usize {
-        match &self.hist {
-            Some(h) => h.count() as usize,
-            None => self.exact.len(),
-        }
-    }
-
     /// Whether the accumulator has spilled into the streaming regime.
     pub fn is_streaming(&self) -> bool {
         self.hist.is_some()
@@ -317,7 +309,7 @@ impl LatencyStats {
 /// # Panics
 ///
 /// Panics if `sorted` is empty or `p` is outside `[0, 100]`.
-pub fn percentile(sorted: &[u64], p: f64) -> Nanos {
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> Nanos {
     assert!(!sorted.is_empty(), "percentile of an empty sample set");
     assert!((0.0..=100.0).contains(&p), "percentile out of [0,100]");
     if sorted.len() == 1 {
@@ -508,7 +500,7 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// The shared summary-table column layout.
-    pub const COLUMNS: [&'static str; 15] = [
+    pub(crate) const COLUMNS: [&'static str; 15] = [
         "policy",
         "mix",
         "rate_rps",
@@ -728,7 +720,6 @@ mod tests {
             acc.observe(Nanos::from_nanos(1_000_000 + i * 13));
         }
         assert!(acc.is_streaming());
-        assert_eq!(acc.count(), n);
         let stats = acc.finalize();
         assert_eq!(stats.count, n);
         // Count, mean, max exact even in the streaming regime.

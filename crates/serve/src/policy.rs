@@ -16,32 +16,36 @@
 //!
 //! Five implementations ship:
 //!
-//! * [`ModePacking`] — the fleet is split into an *explicit* lane
-//!   (async memcpy) and a *managed* lane (UVM + prefetch); requests are
-//!   routed by working-set size and best-fit bin-packed within the lane.
-//! * [`UvmSpillover`] — everything runs managed; admission allows the
-//!   fleet to oversubscribe up to a ratio, and placement spills to the
-//!   least-committed device, charging a thrashing penalty on the GPU
-//!   stage once a device is past its HBM capacity.
-//! * [`ChaosFailover`] — devices fail placement attempts at a seeded
-//!   rate; the policy walks healthy devices in load order, paying
+//! * [`PolicyKind::ModePacking`] — the fleet is split into an *explicit*
+//!   lane (async memcpy) and a *managed* lane (UVM + prefetch); requests
+//!   are routed by working-set size and best-fit bin-packed within the
+//!   lane.
+//! * [`PolicyKind::UvmSpillover`] — everything runs managed; admission
+//!   allows the fleet to oversubscribe up to a ratio, and placement spills
+//!   to the least-committed device, charging a thrashing penalty on the
+//!   GPU stage once a device is past its HBM capacity.
+//! * [`PolicyKind::ChaosFailover`] — devices fail placement attempts at a
+//!   seeded rate; the policy walks healthy devices in load order, paying
 //!   recovery backoff plus the peer-link cost of re-staging the working
 //!   set on each hop, and quarantines devices that fail repeatedly.
-//! * [`ModeAdvisor`] — each request runs in the transfer mode the static
-//!   performance advisor predicts fastest for its workload × size, on
-//!   the least-loaded device with room; the serving-layer consumer of
-//!   the `SAN-P*` analysis.
-//! * [`SloDeadline`] — SLO-aware admission: sheds by *predicted deadline
-//!   miss* (memoized cost estimates plus current queue depth), and walks
-//!   the overload degradation ladder ([`ModeCosts::LADDER`]) to cheaper
-//!   transfer modes before giving up on a request.
+//! * [`PolicyKind::ModeAdvisor`] — each request runs in the transfer mode
+//!   the static performance advisor predicts fastest for its workload ×
+//!   size, on the least-loaded device with room; the serving-layer
+//!   consumer of the `SAN-P*` analysis.
+//! * [`PolicyKind::SloDeadline`] — SLO-aware admission: sheds by
+//!   *predicted deadline miss* (the fleet's cost estimates plus current
+//!   queue depth), and walks the overload degradation ladder
+//!   ([`ModeCosts::LADDER`]) to cheaper transfer modes before giving up
+//!   on a request.
 
 use crate::arrival::Request;
+use crate::fleet::two_stage_step;
 use crate::topology::ClusterTopology;
 use hetsim::batch::JobStages;
 use hetsim_engine::rng::SimRng;
 use hetsim_engine::time::Nanos;
 use hetsim_runtime::{HealthState, RecoveryPolicy, TransferMode};
+use std::cell::Cell;
 
 /// One device's scheduling state as a policy sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,37 +79,40 @@ pub struct FleetView<'a> {
     pub devices: &'a [DeviceView],
     /// The cluster's device + peer-link model.
     pub topology: &'a ClusterTopology,
-    /// Memoized cost estimates for the deciding request, one
-    /// [`JobStages`] per rung of the degradation ladder — what
-    /// deadline-aware policies predict completions with.
-    pub costs: ModeCosts,
+    /// Cost estimates for the deciding request, one [`JobStages`] per
+    /// rung of the degradation ladder (what deadline-aware policies
+    /// predict completions with), plus the advisor's pick of mode.
+    pub costs: ModeCosts<'a>,
 }
 
 impl FleetView<'_> {
     /// Total committed bytes across the fleet.
-    pub fn total_committed(&self) -> u64 {
+    pub(crate) fn total_committed(&self) -> u64 {
         self.devices.iter().map(|d| d.committed).sum()
     }
 
     /// Total HBM capacity across the fleet.
-    pub fn total_capacity(&self) -> u64 {
+    pub(crate) fn total_capacity(&self) -> u64 {
         self.devices.iter().map(|d| d.capacity).sum()
     }
 }
 
-/// The deciding request's memoized cost estimates, one per rung of the
-/// overload degradation ladder.
+/// The deciding request's cost estimates, one per rung of the overload
+/// degradation ladder, and the transfer mode the advisor ranks fastest
+/// for its workload × size.
 ///
-/// The estimates come from the fleet's `Experiment`-memoized base runs
-/// (the same numbers the scheduler will charge if the request lands), so
-/// a policy predicting a completion with them is consistent with the
-/// clock the report is measured on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModeCosts {
-    entries: [(TransferMode, JobStages); ModeCosts::LADDER.len()],
+/// The estimates are the fleet's own per-request stage costs (the same
+/// numbers the scheduler will charge if the request lands), so a policy
+/// predicting a completion with them is consistent with the clock the
+/// report is measured on. Both are computed when first read: a policy
+/// that never looks at a rung, or at the advice, does not pay for it.
+pub struct ModeCosts<'a> {
+    price: &'a dyn Fn(TransferMode) -> JobStages,
+    advice: &'a dyn Fn() -> TransferMode,
+    priced: [Cell<Option<JobStages>>; ModeCosts::LADDER.len()],
 }
 
-impl ModeCosts {
+impl<'a> ModeCosts<'a> {
     /// The overload degradation ladder, preferred mode first: the same
     /// walk as the chaos [`RecoveryPolicy`]'s mode degradation
     /// (`uvm_prefetch_async → uvm_prefetch → uvm → standard`). A
@@ -117,33 +124,52 @@ impl ModeCosts {
         TransferMode::Standard,
     ];
 
-    /// Builds the table by pricing every ladder rung through `stages`.
-    pub fn from_fn(mut stages: impl FnMut(TransferMode) -> JobStages) -> ModeCosts {
+    /// Estimates priced through `price`, at most once per rung, and the
+    /// advisor's pick read through `advice` (the fleet holds that once
+    /// per workload).
+    pub(crate) fn new(
+        price: &'a dyn Fn(TransferMode) -> JobStages,
+        advice: &'a dyn Fn() -> TransferMode,
+    ) -> ModeCosts<'a> {
         ModeCosts {
-            entries: ModeCosts::LADDER.map(|mode| (mode, stages(mode))),
+            price,
+            advice,
+            priced: Default::default(),
         }
-    }
-
-    /// All-zero estimates — the deadline-unaware placeholder (every
-    /// prediction collapses to "free", so nothing is ever shed by it).
-    pub fn zero() -> ModeCosts {
-        ModeCosts::from_fn(|_| JobStages {
-            cpu: Nanos::ZERO,
-            gpu: Nanos::ZERO,
-        })
     }
 
     /// The estimate for `mode`, if it is on the ladder.
     pub fn get(&self, mode: TransferMode) -> Option<JobStages> {
-        self.entries
-            .iter()
-            .find(|(m, _)| *m == mode)
-            .map(|&(_, s)| s)
+        let rung = ModeCosts::LADDER.iter().position(|&m| m == mode)?;
+        Some(self.rung(rung))
     }
 
     /// Ladder rungs with their estimates, preferred mode first.
     pub fn ladder(&self) -> impl Iterator<Item = (TransferMode, JobStages)> + '_ {
-        self.entries.iter().copied()
+        (0..ModeCosts::LADDER.len()).map(|rung| (ModeCosts::LADDER[rung], self.rung(rung)))
+    }
+
+    /// The transfer mode the performance advisor ranks fastest for the
+    /// request's workload × size.
+    pub fn advised_mode(&self) -> TransferMode {
+        (self.advice)()
+    }
+
+    fn rung(&self, rung: usize) -> JobStages {
+        let cell = &self.priced[rung];
+        cell.get().unwrap_or_else(|| {
+            let stages = (self.price)(ModeCosts::LADDER[rung]);
+            cell.set(Some(stages));
+            stages
+        })
+    }
+}
+
+impl std::fmt::Debug for ModeCosts<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ModeCosts")
+            .field("priced", &self.priced)
+            .finish_non_exhaustive()
     }
 }
 
@@ -151,11 +177,10 @@ impl ModeCosts {
 /// costing `stages` — a pure peek of the fleet's two-stage recurrence
 /// (CPU stage behind `cpu_free`, GPU stage behind `gpu_free`) that
 /// mutates nothing.
-pub fn predicted_completion(now: Nanos, d: &DeviceView, stages: JobStages) -> Nanos {
-    let cpu_start = now.max(d.cpu_free);
-    let cpu_done = cpu_start + stages.cpu;
-    let gpu_start = cpu_done.max(d.gpu_free);
-    gpu_start + stages.gpu
+pub(crate) fn predicted_completion(now: Nanos, d: &DeviceView, stages: JobStages) -> Nanos {
+    let (mut cpu_free, mut gpu_free) = (d.cpu_free, d.gpu_free);
+    two_stage_step(now, stages, &mut cpu_free, &mut gpu_free);
+    gpu_free
 }
 
 /// An admission decision.
@@ -247,7 +272,7 @@ pub trait ServingPolicy: AdmissionPolicy + PlacementPolicy + Sync {
 /// which keeps the other lane devices free for large requests. A request
 /// that fits no lane device is shed.
 #[derive(Debug, Clone)]
-pub struct ModePacking {
+pub(crate) struct ModePacking {
     /// Working sets at or above this many bytes run in the managed lane.
     pub managed_threshold: u64,
     /// Mode of the explicit lane.
@@ -350,7 +375,7 @@ impl ServingPolicy for ModePacking {
 /// `1 + thrash_penalty × overflow_ratio`, the serving-layer analogue of
 /// the paper's UVM oversubscription cliff.
 #[derive(Debug, Clone)]
-pub struct UvmSpillover {
+pub(crate) struct UvmSpillover {
     /// Admitted committed-bytes ratio over total HBM capacity (≥ 1).
     pub oversubscription: f64,
     /// GPU-stage penalty slope per unit of device-level overflow.
@@ -438,7 +463,7 @@ impl ServingPolicy for UvmSpillover {
 /// more at full backoff and is forced through — shedding on chaos alone
 /// would confound the latency comparison.
 #[derive(Debug, Clone)]
-pub struct ChaosFailover {
+pub(crate) struct ChaosFailover {
     /// Per-attempt placement failure probability, in `[0, 1)`.
     pub fault_rate: f64,
     /// Recovery costs (backoff schedule) charged per failed attempt.
@@ -483,32 +508,28 @@ impl PlacementPolicy for ChaosFailover {
         rng: &mut SimRng,
     ) -> Placement {
         // Healthy devices in load order; quarantined ones — by failure
-        // streak or by lifecycle state — only as a last resort (appended
-        // so the walk still terminates fleet-wide).
-        let sidelined = |d: &DeviceView| {
-            d.consecutive_failures >= self.quarantine_threshold || !d.health.accepts_work()
+        // streak or by lifecycle state — only as a last resort, so the
+        // walk still terminates fleet-wide. The index makes every key
+        // unique, so each attempt takes the least key past the last one:
+        // the walk needs no sorted copy of the fleet.
+        let key = |d: &DeviceView| {
+            let sidelined =
+                d.consecutive_failures >= self.quarantine_threshold || !d.health.accepts_work();
+            (sidelined, d.committed, d.index)
         };
-        let mut order: Vec<usize> = view
-            .devices
-            .iter()
-            .filter(|d| !sidelined(d))
-            .map(|d| d.index)
-            .collect();
-        let quarantined: Vec<usize> = view
-            .devices
-            .iter()
-            .filter(|d| sidelined(d))
-            .map(|d| d.index)
-            .collect();
-        order.extend(quarantined);
-        order.sort_by_key(|&d| {
-            let dev = &view.devices[d];
-            (sidelined(dev), dev.committed, d)
-        });
-
+        let mut last = None;
         let mut delay = Nanos::ZERO;
         let mut failed = Vec::new();
-        for (attempt, &device) in order.iter().enumerate() {
+        for attempt in 0..view.devices.len() {
+            let next = view
+                .devices
+                .iter()
+                .map(key)
+                .filter(|&k| last.is_none_or(|l| k > l))
+                .min()
+                .expect("one device per attempt");
+            last = Some(next);
+            let device = next.2;
             if let Some(&prev) = failed.last() {
                 delay += view.topology.peer_transfer_time(prev, device, footprint);
             }
@@ -525,7 +546,7 @@ impl PlacementPolicy for ChaosFailover {
         // device after one more full-depth backoff.
         let device = *failed.last().expect("fleet has at least one device");
         failed.pop();
-        delay += self.recovery.backoff(order.len() as u32);
+        delay += self.recovery.backoff(view.devices.len() as u32);
         let mut p = Placement::clean(device, self.mode);
         p.queue_delay = delay;
         p.failed_devices = failed;
@@ -546,56 +567,15 @@ impl ServingPolicy for ChaosFailover {
 /// Advisor-driven placement: each request runs in the transfer mode the
 /// performance advisor (`hetsim_sanitizer::advise`, reached through
 /// `hetsim::verify::advise_program`) ranks fastest for its workload × size
-/// on the paper's device model, from the five modes' noise-free base runs.
-/// Requests land on the least-committed device with room for
-/// the working set, so the fleet is one shared pool with per-request mode
-/// selection rather than static mode lanes.
-///
-/// Advice is memoized per `(workload, size)` behind a mutex; the cache is
-/// a pure lookup table of a deterministic function, so placement decisions
-/// remain a function of `(view, request)` alone.
-pub struct ModeAdvisor {
-    /// The device model predictions are priced against.
-    pub device: hetsim_runtime::Device,
-    cache: std::sync::Mutex<
-        std::collections::HashMap<(&'static str, hetsim_workloads::InputSize), TransferMode>,
-    >,
-}
-
-impl std::fmt::Debug for ModeAdvisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModeAdvisor")
-            .field("device", &self.device.name)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for ModeAdvisor {
-    fn default() -> Self {
-        ModeAdvisor {
-            device: hetsim_runtime::Device::a100_epyc(),
-            cache: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-}
+/// on the paper's device model, from the five modes' noise-free base runs
+/// ([`ModeCosts::advised_mode`]; the fleet computes that advice once per
+/// workload and holds it). Requests land on the least-committed device
+/// with room for the working set, so the fleet is one shared pool with
+/// per-request mode selection rather than static mode lanes.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ModeAdvisor;
 
 impl ModeAdvisor {
-    /// The advisor's predicted-fastest mode for the request's workload ×
-    /// size, memoized. Unknown workload names (impossible for registry
-    /// arrivals) fall back to the explicit standard mode.
-    fn best_mode(&self, req: &Request) -> TransferMode {
-        let key = (req.workload, req.size);
-        if let Some(&mode) = self.cache.lock().expect("advice cache").get(&key) {
-            return mode;
-        }
-        let mode = match hetsim_workloads::suite::by_name(req.workload, req.size) {
-            Some(w) => hetsim::verify::advise_program(&w, &self.device).best().mode,
-            None => TransferMode::Standard,
-        };
-        self.cache.lock().expect("advice cache").insert(key, mode);
-        mode
-    }
-
     /// Least-committed device that still fits `footprint` (ties break to
     /// the lowest index).
     fn fittest(&self, footprint: u64, view: &FleetView<'_>) -> Option<usize> {
@@ -628,7 +608,7 @@ impl AdmissionPolicy for ModeAdvisor {
 impl PlacementPolicy for ModeAdvisor {
     fn place(
         &self,
-        req: &Request,
+        _req: &Request,
         footprint: u64,
         view: &FleetView<'_>,
         _rng: &mut SimRng,
@@ -636,7 +616,7 @@ impl PlacementPolicy for ModeAdvisor {
         let device = self
             .fittest(footprint, view)
             .expect("place called without admission");
-        Placement::clean(device, self.best_mode(req))
+        Placement::clean(device, view.costs.advised_mode())
     }
 }
 
@@ -655,7 +635,7 @@ impl ServingPolicy for ModeAdvisor {
 /// Admission sheds by **predicted deadline miss**, not by capacity: a
 /// request is accepted iff *some* `(device, ladder mode)` pair — healthy
 /// device with HBM room, any rung of [`ModeCosts::LADDER`] — is
-/// predicted (via [`predicted_completion`] over the memoized cost
+/// predicted (via [`predicted_completion`] over the fleet's cost
 /// estimates plus the device's current queue frontiers) to finish by the
 /// request's deadline. A fleet with plenty of free HBM but a deep queue
 /// honestly sheds, and one rung of the ladder making the deadline is
@@ -669,7 +649,7 @@ impl ServingPolicy for ModeAdvisor {
 /// (only possible when placement is driven without admission), the
 /// request lands on the globally earliest-finishing pair anyway.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SloDeadline;
+pub(crate) struct SloDeadline;
 
 impl SloDeadline {
     /// The earliest-finishing serving device for `stages`, among devices
@@ -766,15 +746,20 @@ impl ServingPolicy for SloDeadline {
 /// The shipped policies, by CLI name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// [`ModePacking`].
+    /// `mode_packing`: explicit and managed lanes, routed by working set
+    /// and best-fit packed.
     ModePacking,
-    /// [`UvmSpillover`].
+    /// `uvm_spillover`: everything managed, admitted past HBM capacity
+    /// at a thrashing penalty.
     UvmSpillover,
-    /// [`ChaosFailover`].
+    /// `chaos_failover`: seeded placement faults, paid for by backoff
+    /// and peer re-staging.
     ChaosFailover,
-    /// [`ModeAdvisor`].
+    /// `mode_advisor`: the advisor's fastest mode, on the least-loaded
+    /// device with room.
     ModeAdvisor,
-    /// [`SloDeadline`].
+    /// `slo_deadline`: sheds predicted deadline misses and walks the
+    /// degradation ladder.
     SloDeadline,
 }
 
@@ -826,7 +811,7 @@ impl PolicyKind {
             PolicyKind::ModePacking => Box::new(ModePacking::default()),
             PolicyKind::UvmSpillover => Box::new(UvmSpillover::default()),
             PolicyKind::ChaosFailover => Box::new(ChaosFailover::default()),
-            PolicyKind::ModeAdvisor => Box::new(ModeAdvisor::default()),
+            PolicyKind::ModeAdvisor => Box::new(ModeAdvisor),
             PolicyKind::SloDeadline => Box::new(SloDeadline),
         }
     }
@@ -866,6 +851,22 @@ mod tests {
         SimRng::seed_from_parts(&["test.policy"], id)
     }
 
+    fn no_cost(_: TransferMode) -> JobStages {
+        JobStages {
+            cpu: Nanos::ZERO,
+            gpu: Nanos::ZERO,
+        }
+    }
+
+    fn standard() -> TransferMode {
+        TransferMode::Standard
+    }
+
+    /// Costs priced by `price`, advising `standard`.
+    fn costs(price: &dyn Fn(TransferMode) -> JobStages) -> ModeCosts<'_> {
+        ModeCosts::new(price, &standard)
+    }
+
     #[test]
     fn mode_packing_routes_by_size_and_packs_best_fit() {
         let topo = ClusterTopology::nvlink_mesh(4);
@@ -876,7 +877,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         let p = ModePacking {
             managed_threshold: 50,
@@ -903,7 +904,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         let p = ModePacking {
             managed_threshold: 50,
@@ -921,13 +922,13 @@ mod tests {
 
     #[test]
     fn single_device_fleet_serves_both_lanes() {
-        let topo = ClusterTopology::single();
+        let topo = ClusterTopology::nvlink_mesh(1);
         let devs = devices(1, 100);
         let view = FleetView {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         let p = ModePacking {
             managed_threshold: 50,
@@ -951,7 +952,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         // 250 committed of 200 capacity: below the 300 limit.
         assert_eq!(p.admit(&req(0), 40, &view, &mut rng(0)), Admission::Accept);
@@ -973,7 +974,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         let p = UvmSpillover {
             thrash_penalty: 4.0,
@@ -990,7 +991,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &fits,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         assert_eq!(p.place(&req(1), 10, &view, &mut rng(1)).gpu_scale, 1.0);
     }
@@ -1003,7 +1004,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         let p = ChaosFailover {
             fault_rate: 0.9, // almost always hop
@@ -1026,7 +1027,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         let p = ChaosFailover {
             fault_rate: 0.0, // first healthy attempt succeeds
@@ -1046,7 +1047,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         let p = ChaosFailover {
             fault_rate: 1.0,
@@ -1067,25 +1068,24 @@ mod tests {
         let topo = ClusterTopology::nvlink_mesh(2);
         let mut devs = devices(2, 100 << 20);
         devs[0].committed = 50 << 20;
+        let r = req(0); // vector_seq @ tiny
+        let w = hetsim_workloads::suite::by_name(r.workload, r.size).unwrap();
+        let device = hetsim_runtime::Device::a100_epyc();
+        let advised = hetsim::verify::advise_program(&w, &device).best().mode;
+        let advice = || advised;
         let view = FleetView {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: ModeCosts::new(&no_cost, &advice),
         };
-        let p = ModeAdvisor::default();
-        let r = req(0); // vector_seq @ tiny
+        let p = ModeAdvisor;
         let placed = p.place(&r, 1 << 20, &view, &mut rng(0));
         assert_eq!(placed.device, 1, "least committed wins");
         assert_eq!(placed.queue_delay, Nanos::ZERO);
         assert_eq!(placed.gpu_scale, 1.0);
-        // The mode is the advisor's pick for this workload, and the
-        // memoized second call agrees.
-        let w = hetsim_workloads::suite::by_name(r.workload, r.size).unwrap();
-        let advised = hetsim::verify::advise_program(&w, &p.device).best().mode;
+        // The mode is the advisor's pick for this workload.
         assert_eq!(placed.mode, advised);
-        let again = p.place(&r, 1 << 20, &view, &mut rng(0));
-        assert_eq!(again.mode, advised);
         // Nothing fits: shed, not panic.
         assert_eq!(
             p.admit(&r, 200 << 20, &view, &mut rng(0)),
@@ -1104,7 +1104,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs: ModeCosts::zero(),
+            costs: costs(&no_cost),
         };
         let p = ChaosFailover {
             fault_rate: 0.0,
@@ -1122,15 +1122,15 @@ mod tests {
         for d in &mut devs {
             d.gpu_free = Nanos::from_millis(100);
         }
-        let costs = ModeCosts::from_fn(|_| JobStages {
+        let price = |_| JobStages {
             cpu: Nanos::from_micros(10),
             gpu: Nanos::from_micros(10),
-        });
+        };
         let view = FleetView {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs,
+            costs: costs(&price),
         };
         let p = SloDeadline;
         assert_eq!(
@@ -1145,7 +1145,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &idle,
             topology: &topo,
-            costs,
+            costs: costs(&price),
         };
         assert_eq!(p.admit(&req(1), 10, &view, &mut rng(1)), Admission::Accept);
         let placed = p.place(&req(1), 10, &view, &mut rng(1));
@@ -1158,19 +1158,19 @@ mod tests {
         let topo = ClusterTopology::nvlink_mesh(2);
         let devs = devices(2, 100);
         // The preferred rungs blow the deadline; standard makes it.
-        let costs = ModeCosts::from_fn(|mode| JobStages {
+        let price = |mode| JobStages {
             cpu: Nanos::ZERO,
             gpu: if mode == TransferMode::Standard {
                 Nanos::from_millis(1)
             } else {
                 Nanos::from_millis(100)
             },
-        });
+        };
         let view = FleetView {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs,
+            costs: costs(&price),
         };
         let p = SloDeadline;
         assert_eq!(p.admit(&req(0), 10, &view, &mut rng(0)), Admission::Accept);
@@ -1187,15 +1187,15 @@ mod tests {
         let topo = ClusterTopology::nvlink_mesh(2);
         let mut devs = devices(2, 100);
         devs[0].health = HealthState::Quarantined;
-        let costs = ModeCosts::from_fn(|_| JobStages {
+        let price = |_| JobStages {
             cpu: Nanos::ZERO,
             gpu: Nanos::from_micros(1),
-        });
+        };
         let view = FleetView {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs,
+            costs: costs(&price),
         };
         let p = SloDeadline;
         assert_eq!(p.admit(&req(0), 10, &view, &mut rng(0)), Admission::Accept);
@@ -1207,7 +1207,7 @@ mod tests {
             now: Nanos::ZERO,
             devices: &devs,
             topology: &topo,
-            costs,
+            costs: costs(&price),
         };
         assert_eq!(
             p.admit(&req(1), 10, &view, &mut rng(1)),
@@ -1215,6 +1215,33 @@ mod tests {
                 reason: "no_capacity"
             }
         );
+    }
+
+    #[test]
+    fn mode_costs_price_each_rung_once_and_only_when_read() {
+        let calls = Cell::new(0);
+        let price = |mode| {
+            calls.set(calls.get() + 1);
+            JobStages {
+                cpu: Nanos::ZERO,
+                gpu: Nanos::from_micros(if mode == TransferMode::Uvm { 7 } else { 1 }),
+            }
+        };
+        let c = costs(&price);
+        assert_eq!(calls.get(), 0, "nothing priced up front");
+        assert_eq!(c.get(TransferMode::Async), None, "async is off the ladder");
+        assert_eq!(c.get(TransferMode::Uvm).unwrap().gpu, Nanos::from_micros(7));
+        assert_eq!(calls.get(), 1);
+        let rungs: Vec<_> = c.ladder().map(|(m, _)| m).collect();
+        assert_eq!(rungs, ModeCosts::LADDER);
+        assert_eq!(calls.get(), 4, "the ladder prices the three other rungs");
+        let _ = c.ladder().count();
+        assert_eq!(
+            calls.get(),
+            4,
+            "a second walk is served from the priced rungs"
+        );
+        assert_eq!(c.advised_mode(), TransferMode::Standard);
     }
 
     #[test]

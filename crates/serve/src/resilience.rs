@@ -29,13 +29,15 @@
 //! rendered report at 1 and 4 threads.
 
 use crate::arrival::{ArrivalMix, ArrivalPlan};
-use crate::fleet::{Fleet, ServeConfig};
+use crate::fleet::{DeviceState, Fleet, ServeConfig, Slot};
 use crate::metrics::{PolicyReport, ServeReport};
 use crate::policy::PolicyKind;
+use crate::topology::ClusterTopology;
+use hetsim::batch::JobStages;
 use hetsim::pool;
 use hetsim_counters::report::Table;
 use hetsim_engine::time::Nanos;
-use hetsim_runtime::{FleetFaultPlan, RecoveryPolicy};
+use hetsim_runtime::{ChaosOverhead, FleetFaultPlan, HealthTimeline, RecoveryPolicy};
 
 /// Everything a resilient serving run needs beyond the base
 /// [`ServeConfig`]: what goes wrong, how long each request may take, and
@@ -74,6 +76,148 @@ impl Default for ResilienceConfig {
             slo_budget: ArrivalPlan::DEFAULT_SLO_BUDGET,
             recovery: RecoveryPolicy::default(),
             hedging: true,
+        }
+    }
+}
+
+/// The armed state one resilient run carries: the generated health
+/// timeline plus the configuration that produced it.
+pub(crate) struct Resilience {
+    pub(crate) timeline: HealthTimeline,
+    pub(crate) cfg: ResilienceConfig,
+}
+
+/// One request's recovery bookkeeping: what the attempts cost, which
+/// devices failed an attempt (in attempt order), and whether it was
+/// hedged onto a peer.
+#[derive(Debug, Default)]
+pub(crate) struct Attempts {
+    pub(crate) recovery: ChaosOverhead,
+    pub(crate) failed_devices: Vec<usize>,
+    pub(crate) hedged: bool,
+}
+
+impl Resilience {
+    /// The deadline-budgeted attempt walk for one placed request: where
+    /// it runs (`Ok`), or why it is shed after admission (`Err`).
+    ///
+    /// Candidates are the policy's pick (`primary.device`), then peers
+    /// by queue depth. The walk is bounded by the retry budget and by
+    /// the deadline: a hop is only taken if backoff plus re-staging the
+    /// `footprint` over the (possibly degraded) peer link still makes
+    /// it. Every failed attempt bumps its device's failure streak and
+    /// lands in `attempts`, with its sunk cost.
+    pub(crate) fn walk(
+        &self,
+        topology: &ClusterTopology,
+        states: &mut [DeviceState],
+        primary: Slot,
+        footprint: u64,
+        deadline: Nanos,
+        attempts: &mut Attempts,
+    ) -> Result<Slot, &'static str> {
+        let tl = &self.timeline;
+        let cfg = &self.cfg;
+        let gpu_dur = primary.stages.gpu;
+        let mut order: Vec<usize> = (0..states.len()).collect();
+        order.sort_by_key(|&i| (i != primary.device, states[i].gpu_free(), i));
+        let max_attempts = (cfg.recovery.max_retries as usize + 1).min(order.len());
+
+        // A primary that can run the request late (degraded or just
+        // queued): kept as the fallback if no peer beats the deadline.
+        let mut fallback: Option<(Slot, Nanos)> = None;
+        let mut pending_backoff = Nanos::ZERO;
+        let mut hedge_pending = false;
+        let mut saw_viable = false;
+
+        for (attempt, &cand) in order.iter().take(max_attempts).enumerate() {
+            // The hop cost: backoff owed from a previous failure, plus
+            // re-staging the working set over the peer link.
+            let mut hop = ChaosOverhead::default();
+            let mut release = primary.release;
+            if attempt > 0 {
+                hop.system += pending_backoff;
+                release += pending_backoff;
+                let link = tl
+                    .link_factor(primary.device, release)
+                    .max(tl.link_factor(cand, release));
+                let restage = topology
+                    .peer_transfer_time(primary.device, cand, footprint)
+                    .scale(link);
+                hop.memcpy += restage;
+                release += restage;
+            }
+            if !tl.accepts(cand, release) {
+                // Failed before any data moved: only the backoff is sunk.
+                attempts.recovery.system += hop.system;
+                pending_backoff = cfg.recovery.backoff(attempt as u32);
+                states[cand].fail();
+                attempts.failed_devices.push(cand);
+                continue;
+            }
+            let penalty = tl.service_penalty(cand, release);
+            let slow_gpu = if penalty > 1.0 {
+                gpu_dur.scale(penalty)
+            } else {
+                gpu_dur
+            };
+            let slot = Slot {
+                device: cand,
+                release,
+                stages: JobStages {
+                    cpu: primary.stages.cpu,
+                    gpu: slow_gpu,
+                },
+            };
+            let (cpu_start, done) = states[cand].peek(slot);
+            if let Some(q) = tl
+                .next_quarantine_start(cand, release)
+                .filter(|&q| q <= done)
+            {
+                // The attempt started and died mid-run: backoff,
+                // re-staging, and the partial work are all sunk cost.
+                attempts.recovery.system += hop.system + q.saturating_sub(cpu_start);
+                attempts.recovery.memcpy += hop.memcpy;
+                pending_backoff = cfg.recovery.backoff(attempt as u32);
+                states[cand].fail();
+                attempts.failed_devices.push(cand);
+                continue;
+            }
+            let extra_kernel = slow_gpu.saturating_sub(gpu_dur);
+            if done > deadline {
+                saw_viable = true;
+                if attempt == 0 {
+                    fallback = Some((slot, extra_kernel));
+                    if cfg.hedging && penalty > 1.0 {
+                        // Late *because it degraded*: hedge onto a peer
+                        // if one makes the SLO.
+                        hedge_pending = true;
+                        continue;
+                    }
+                    // Late from plain queueing: run it late, exactly
+                    // like the fault-free path.
+                    break;
+                }
+                // A hop that still misses is not worth paying for.
+                continue;
+            }
+            // Commit: the hop that lands charges its backoff and
+            // re-staging; a degraded device charges its service slowdown.
+            attempts.recovery.system += hop.system;
+            attempts.recovery.memcpy += hop.memcpy;
+            attempts.recovery.kernel += extra_kernel;
+            attempts.hedged = hedge_pending && attempt > 0;
+            return Ok(slot);
+        }
+        match fallback {
+            Some((slot, extra_kernel)) => {
+                // No peer beats the deadline: run late on the primary
+                // rather than shed runnable work.
+                attempts.recovery.kernel += extra_kernel;
+                Ok(slot)
+            }
+            None if saw_viable => Err("deadline_exhausted"),
+            None => Err("fleet_unavailable"),
         }
     }
 }

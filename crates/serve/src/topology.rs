@@ -2,20 +2,19 @@
 //!
 //! The single-device [`Device`] model (its CPU↔GPU link, HBM, allocator)
 //! is reused unchanged — a cluster is N copies of it stitched together by
-//! a matrix of [`PeerLink`]s. Links come in three classes, matching the
+//! a matrix of peer links. Links come in two classes, matching the
 //! NVLink/NUMA structure of the DGX-style machines the serving layer
 //! models:
 //!
-//! * [`PeerClass::NvLink`] — same NUMA half, direct NVLink: high
-//!   bandwidth, sub-microsecond setup.
-//! * [`PeerClass::PciePeer`] — peer DMA over the PCIe root complex.
-//! * [`PeerClass::NumaRemote`] — the other NUMA half: PCIe hop plus a
+//! * NVLink — same NUMA half, direct NVLink: high bandwidth,
+//!   sub-microsecond setup.
+//! * NUMA-remote — the other NUMA half: PCIe hop plus a
 //!   socket-interconnect crossing, the slowest path.
 //!
-//! Peer transfers matter to serving because failover (see
-//! [`crate::policy::ChaosFailover`]) re-stages a request's working set on
-//! another device: the charge for that move is
-//! [`ClusterTopology::peer_transfer_time`], so a failover across the NUMA
+//! Peer transfers matter to serving because failover (the
+//! `chaos_failover` policy and the resilience layer's attempt walk)
+//! re-stages a request's working set on another device: the charge for
+//! that move is the peer transfer time, so a failover across the NUMA
 //! boundary honestly costs more than one inside an NVLink island.
 
 use hetsim_engine::bandwidth::{link_transfer_time, Bandwidth, Latency};
@@ -24,32 +23,18 @@ use hetsim_runtime::Device;
 
 /// The class of a peer-to-peer link between two devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerClass {
+pub(crate) enum PeerClass {
     /// Direct NVLink within an NVLink island (same NUMA half).
     NvLink,
-    /// Peer DMA through the shared PCIe root complex.
-    PciePeer,
     /// Across the NUMA boundary: PCIe plus a socket-interconnect hop.
     NumaRemote,
     /// A device's link to itself (no transfer needed).
     Local,
 }
 
-impl PeerClass {
-    /// Short lowercase name, used in tables and traces.
-    pub fn name(self) -> &'static str {
-        match self {
-            PeerClass::NvLink => "nvlink",
-            PeerClass::PciePeer => "pcie_peer",
-            PeerClass::NumaRemote => "numa_remote",
-            PeerClass::Local => "local",
-        }
-    }
-}
-
 /// A directed peer link: fixed setup latency plus streaming bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeerLink {
+pub(crate) struct PeerLink {
     /// Link class.
     pub class: PeerClass,
     /// Per-transfer setup latency.
@@ -61,13 +46,12 @@ pub struct PeerLink {
 impl PeerLink {
     /// The default link model for a class. Numbers follow the same
     /// datasheet-effective convention as the CPU↔GPU link: NVLink 3.0 at
-    /// ~200 GB/s effective per direction, PCIe 4.0 x16 peer DMA at
-    /// ~22 GB/s, and the NUMA-remote path derated to ~16 GB/s with the
-    /// socket hop folded into latency.
-    pub fn of_class(class: PeerClass) -> PeerLink {
+    /// ~200 GB/s effective per direction, and the NUMA-remote path (PCIe
+    /// 4.0 x16 plus the socket hop) derated to ~16 GB/s with the hop
+    /// folded into latency.
+    pub(crate) fn of_class(class: PeerClass) -> PeerLink {
         let (latency_us, gb_per_sec) = match class {
             PeerClass::NvLink => (2, 200.0),
-            PeerClass::PciePeer => (5, 22.0),
             PeerClass::NumaRemote => (9, 16.0),
             PeerClass::Local => {
                 return PeerLink {
@@ -86,7 +70,7 @@ impl PeerLink {
 
     /// Time to move `bytes` across this link (latency + bytes/bandwidth);
     /// zero for [`PeerClass::Local`].
-    pub fn transfer_time(&self, bytes: u64) -> Nanos {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> Nanos {
         if self.class == PeerClass::Local {
             return Nanos::ZERO;
         }
@@ -124,28 +108,6 @@ impl ClusterTopology {
         })
     }
 
-    /// A PCIe-only cluster of `n` devices: every peer pair shares the root
-    /// complex, no NVLink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn pcie_cluster(n: usize) -> ClusterTopology {
-        assert!(n > 0, "cluster needs at least one device");
-        ClusterTopology::build(n, |src, dst| {
-            if src == dst {
-                PeerClass::Local
-            } else {
-                PeerClass::PciePeer
-            }
-        })
-    }
-
-    /// The trivial single-device "fleet".
-    pub fn single() -> ClusterTopology {
-        ClusterTopology::nvlink_mesh(1)
-    }
-
     fn build(n: usize, class: impl Fn(usize, usize) -> PeerClass) -> ClusterTopology {
         let devices = vec![Device::a100_epyc(); n];
         let mut links = Vec::with_capacity(n * n);
@@ -167,22 +129,13 @@ impl ClusterTopology {
         self.devices.is_empty()
     }
 
-    /// The device at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn device(&self, idx: usize) -> &Device {
-        &self.devices[idx]
-    }
-
     /// Stable display name for the device at `idx` (e.g. `gpu2`).
-    pub fn device_label(&self, idx: usize) -> String {
+    pub(crate) fn device_label(&self, idx: usize) -> String {
         format!("gpu{idx}")
     }
 
     /// HBM capacity of the device at `idx`, bytes.
-    pub fn capacity(&self, idx: usize) -> u64 {
+    pub(crate) fn capacity(&self, idx: usize) -> u64 {
         self.devices[idx].gpu.hbm.capacity()
     }
 
@@ -191,12 +144,12 @@ impl ClusterTopology {
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn peer_link(&self, src: usize, dst: usize) -> PeerLink {
+    pub(crate) fn peer_link(&self, src: usize, dst: usize) -> PeerLink {
         self.links[src * self.devices.len() + dst]
     }
 
     /// Time to re-stage `bytes` from device `src` onto device `dst`.
-    pub fn peer_transfer_time(&self, src: usize, dst: usize, bytes: u64) -> Nanos {
+    pub(crate) fn peer_transfer_time(&self, src: usize, dst: usize, bytes: u64) -> Nanos {
         self.peer_link(src, dst).transfer_time(bytes)
     }
 }
@@ -225,21 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn pcie_cluster_is_uniform() {
-        let t = ClusterTopology::pcie_cluster(3);
-        for s in 0..3 {
-            for d in 0..3 {
-                let want = if s == d {
-                    PeerClass::Local
-                } else {
-                    PeerClass::PciePeer
-                };
-                assert_eq!(t.peer_link(s, d).class, want);
-            }
-        }
-    }
-
-    #[test]
     fn transfer_costs_order_by_class() {
         let t = ClusterTopology::nvlink_mesh(4);
         let bytes = 1 << 30; // 1 GiB working set
@@ -248,8 +186,6 @@ mod tests {
         let remote = t.peer_transfer_time(0, 2, bytes);
         assert_eq!(local, Nanos::ZERO);
         assert!(nvlink < remote, "NVLink must beat the NUMA hop");
-        let pcie = ClusterTopology::pcie_cluster(2).peer_transfer_time(0, 1, bytes);
-        assert!(nvlink < pcie && pcie < remote);
     }
 
     #[test]
@@ -264,9 +200,8 @@ mod tests {
 
     #[test]
     fn capacity_is_a100_hbm() {
-        let t = ClusterTopology::single();
+        let t = ClusterTopology::nvlink_mesh(1);
         assert_eq!(t.capacity(0), 40 * (1u64 << 30));
-        assert_eq!(t.device(0).name, Device::a100_epyc().name);
         assert_eq!(t.device_label(0), "gpu0");
         assert!(!t.is_empty());
     }

@@ -350,13 +350,6 @@ impl Workload {
     pub fn kernel_specs(&self) -> &[KernelSpec] {
         &self.kernels
     }
-
-    /// Rebuilds every kernel through `f` — variant constructors use this
-    /// to adjust one dial (arithmetic intensity, invocation count) without
-    /// duplicating the base model.
-    pub fn map_kernels(&mut self, f: impl Fn(&KernelSpec) -> KernelSpec) {
-        self.kernels = self.kernels.iter().map(f).collect();
-    }
 }
 
 impl GpuProgram for Workload {

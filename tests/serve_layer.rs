@@ -7,12 +7,15 @@
 //! pass in arrival order, and the only parallelism (cost-model prewarm
 //! and sweep-cell fan-out) assembles results in index order.
 
-use hetsim::pool;
+use hetsim::batch::JobStages;
+use hetsim::{pool, Experiment};
+use hetsim_engine::time::Nanos;
+use hetsim_runtime::{Device, TransferMode};
 use hetsim_serve::{
-    ArrivalMix, ArrivalPlan, Fleet, PolicyKind, ServeConfig, ServeReport, ServeSweep,
+    ArrivalMix, ArrivalPlan, Fleet, PolicyKind, Request, ServeConfig, ServeReport, ServeSweep,
 };
 use hetsim_trace::TraceConfig;
-use hetsim_workloads::InputSize;
+use hetsim_workloads::{suite, InputSize};
 
 /// Runs `f` under both thread counts and returns the two results.
 fn both<T>(f: impl Fn() -> T) -> (T, T) {
@@ -133,4 +136,77 @@ fn fresh_fleets_reproduce_the_same_outcome() {
         .to_json()
     };
     assert_eq!(run(), run());
+}
+
+/// The fleet charges each request exactly what the batch harness's noise
+/// gives the same run: for every catalog workload × mode × run index, its
+/// stages equal the runner's noisy report of the memoized base run, bit
+/// for bit.
+#[test]
+fn fleet_stages_are_the_runners_noisy_base_runs() {
+    for size in [InputSize::Tiny, InputSize::Small] {
+        let fleet = Fleet::nvlink(1, size);
+        let exp = Experiment::new();
+        for name in ArrivalPlan::full_catalog() {
+            let w = suite::by_name(name, size).unwrap();
+            for mode in TransferMode::ALL {
+                let base = exp.base_run(&w, mode);
+                for i in 0..2000 {
+                    let want =
+                        JobStages::from_report(&exp.runner().apply_noise(&base, &w, mode, i));
+                    let got = fleet.request_stages(name, mode, i);
+                    assert_eq!(got, Some(want), "{name} {mode:?} run {i} at {size}");
+                }
+            }
+        }
+        assert_eq!(
+            fleet.request_stages("no_such_workload", TransferMode::Async, 0),
+            None
+        );
+    }
+}
+
+/// `mode_advisor` places every catalog workload in the mode the advisor
+/// ranks fastest on the paper's device, also once the fleet holds its
+/// advice from an earlier cell.
+#[test]
+fn mode_advisor_places_the_advisors_best_mode_for_every_workload() {
+    let size = InputSize::Small;
+    let fleet = Fleet::nvlink(2, size);
+    let cell = ServeConfig {
+        requests: 60,
+        ..config(PolicyKind::ModeAdvisor)
+    };
+    assert_eq!(fleet.serve(&cell).report.policy, "mode_advisor");
+    let catalog = ArrivalPlan::full_catalog();
+    let plan = ArrivalPlan {
+        mix: ArrivalMix::Poisson { rate_rps: 1.0 },
+        seed: 0,
+        requests: catalog
+            .iter()
+            .enumerate()
+            .map(|(i, &workload)| Request {
+                id: i as u64,
+                arrival: Nanos::from_millis(1000 * i as u64),
+                workload,
+                size,
+                deadline: Nanos::from_millis(1000 * i as u64) + ArrivalPlan::DEFAULT_SLO_BUDGET,
+            })
+            .collect(),
+    };
+    let policy = PolicyKind::ModeAdvisor.build();
+    let device = Device::a100_epyc();
+    for _ in 0..2 {
+        let out = fleet.serve_plan(&plan, policy.as_ref(), 1);
+        assert_eq!(
+            out.completed.len(),
+            catalog.len(),
+            "one-second gaps shed nothing"
+        );
+        for (c, &name) in out.completed.iter().zip(&catalog) {
+            let w = suite::by_name(name, size).unwrap();
+            let best = hetsim::verify::advise_program(&w, &device).best().mode;
+            assert_eq!((c.workload, c.mode), (name, best));
+        }
+    }
 }
