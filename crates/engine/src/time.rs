@@ -1,8 +1,8 @@
 //! Simulated time: absolute instants ([`SimTime`]), durations ([`Nanos`]) and
 //! clock-domain conversion ([`ClockDomain`]).
 //!
-//! All timing in the simulator is integer nanoseconds. Integer time keeps the
-//! event queue totally ordered without floating-point tie-break hazards and
+//! All timing in the simulator is integer nanoseconds. Integer time keeps
+//! instants totally ordered without floating-point tie-break hazards and
 //! makes runs bit-reproducible across platforms.
 
 use std::fmt;

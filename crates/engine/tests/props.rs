@@ -1,4 +1,4 @@
-//! Randomized invariant tests for the discrete-event core.
+//! Randomized invariant tests for the simulation core.
 //!
 //! These were originally `proptest` properties; they now drive the same
 //! invariants from the crate's own deterministic [`SimRng`] so the test
@@ -8,28 +8,6 @@ use hetsim_engine::prelude::*;
 use hetsim_engine::stats::geomean;
 
 const CASES: u64 = 64;
-
-/// Events always pop in non-decreasing time order, with FIFO ties.
-#[test]
-fn event_queue_total_order() {
-    let mut rng = SimRng::seed_from_parts(&["props", "event_queue_total_order"], 0);
-    for _ in 0..CASES {
-        let n = rng.range(1, 200) as usize;
-        let times: Vec<u64> = (0..n).map(|_| rng.below(1_000)).collect();
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(t), i);
-        }
-        let drained = q.drain_ordered();
-        assert_eq!(drained.len(), times.len());
-        for w in drained.windows(2) {
-            assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                assert!(w[0].1 < w[1].1, "FIFO tiebreak violated");
-            }
-        }
-    }
-}
 
 /// SimRng stays deterministic under forking and in-range for bounds.
 #[test]

@@ -15,9 +15,9 @@ use hetsim_mem::addr::Addr;
 use hetsim_mem::link::LinkPath;
 use hetsim_trace::{Category, Dim};
 use hetsim_uvm::prefetch::{PrefetchModel, Regularity};
-use hetsim_uvm::space::UvmSpace;
-use hetsim_uvm::{ChunkId, ChunkTouch};
+use hetsim_uvm::space::{ResolvedRange, UvmSpace};
 use std::borrow::Cow;
+use std::fmt;
 
 /// Sets one ambient label dimension on the active trace session: every
 /// event recorded from here on carries it. No-op when tracing is off.
@@ -52,15 +52,28 @@ impl Drop for LabelScope {
 /// `Nanos` the runner adds to a report component goes through exactly one
 /// `trace_phase` call with the matching category, so per-category span sums
 /// reproduce the report breakdown to the nanosecond.
-fn trace_phase(cat: Category, name: impl Into<Cow<'static, str>>, dur: Nanos) {
+///
+/// The name is formatted only when the span is recorded, so an untraced
+/// run builds no phase names.
+fn trace_phase(cat: Category, name: fmt::Arguments<'_>, dur: Nanos) {
     if dur.is_zero() || !hetsim_trace::session::enabled() {
         return;
     }
-    let name = name.into();
+    let name: Cow<'static, str> = match name.as_str() {
+        Some(name) => name.into(),
+        None => name.to_string().into(),
+    };
     hetsim_trace::session::with(|b| {
         let track = b.track("runtime");
         b.phase_span(track, cat, name, dur.as_nanos());
     });
+}
+
+/// One buffer of a UVM run as the touch-sequence path sees it.
+struct TouchTarget {
+    slots: ResolvedRange,
+    chunks: u64,
+    host_backed: bool,
 }
 
 /// Upper bound on the number of per-kernel invocation rounds replayed
@@ -338,7 +351,7 @@ impl Runner {
         let mut alloc = Nanos::ZERO;
         for b in &buffers {
             let t = dev.alloc.alloc_and_free(b.bytes, mode.uses_uvm());
-            trace_phase(Category::Alloc, format!("alloc({})", b.name), t);
+            trace_phase(Category::Alloc, format_args!("alloc({})", b.name), t);
             alloc += t;
         }
 
@@ -354,7 +367,11 @@ impl Runner {
                 .sum();
             let fallback = dev.alloc.alloc_and_free(staging.max(1), false);
             let extra = ctx.pinned_alloc("staging", fallback)?;
-            trace_phase(Category::Alloc, "chaos_pinned_fallback", extra);
+            trace_phase(
+                Category::Alloc,
+                format_args!("chaos_pinned_fallback"),
+                extra,
+            );
         }
 
         let mut counters = CounterSet::new();
@@ -381,11 +398,15 @@ impl Runner {
             let t = dev
                 .alloc
                 .managed_teardown(program.footprint(), demand_fraction);
-            trace_phase(Category::Alloc, "managed_teardown", t);
+            trace_phase(Category::Alloc, format_args!("managed_teardown"), t);
             alloc += t;
         }
 
-        trace_phase(Category::Engine, "system_overhead", dev.system_overhead);
+        trace_phase(
+            Category::Engine,
+            format_args!("system_overhead"),
+            dev.system_overhead,
+        );
 
         let mut report = RunReport {
             alloc,
@@ -473,12 +494,12 @@ impl Runner {
                 set_label(Dim::Stream, "h2d");
                 let t = dev.link.record_transfer(LinkPath::PageableCopy, b.bytes);
                 counters.transfer.record_h2d_copy(b.bytes, t);
-                trace_phase(Category::Memcpy, format!("memcpy_h2d({})", b.name), t);
+                trace_phase(Category::Memcpy, format_args!("memcpy_h2d({})", b.name), t);
                 memcpy += t;
                 let extra = ctx.transfer(&format!("memcpy_h2d({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
-                    format!("chaos_retry_h2d({})", b.name),
+                    format_args!("chaos_retry_h2d({})", b.name),
                     extra,
                 );
             }
@@ -486,12 +507,12 @@ impl Runner {
                 set_label(Dim::Stream, "d2h");
                 let t = dev.link.record_transfer(LinkPath::PageableCopy, b.bytes);
                 counters.transfer.record_d2h_copy(b.bytes, t);
-                trace_phase(Category::Memcpy, format!("memcpy_d2h({})", b.name), t);
+                trace_phase(Category::Memcpy, format_args!("memcpy_d2h({})", b.name), t);
                 memcpy += t;
                 let extra = ctx.transfer(&format!("memcpy_d2h({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
-                    format!("chaos_retry_d2h({})", b.name),
+                    format_args!("chaos_retry_d2h({})", b.name),
                     extra,
                 );
             }
@@ -504,13 +525,13 @@ impl Runner {
             let style = mode.kernel_style(k.standard_style());
             let r = self.executor.execute(*k, style, &env);
             let inv = k.invocations().max(1);
-            trace_phase(Category::Kernel, k.name().to_string(), r.time * inv);
+            trace_phase(Category::Kernel, format_args!("{}", k.name()), r.time * inv);
             kernel += r.time * inv;
             merge_kernel_counters(counters, &r, inv);
             let extra = ctx.kernel(k.name(), r.time * inv)?;
             trace_phase(
                 Category::Kernel,
-                format!("chaos_replay({})", k.name()),
+                format_args!("chaos_replay({})", k.name()),
                 extra,
             );
         }
@@ -540,6 +561,21 @@ impl Runner {
         for (b, &base) in buffers.iter().zip(&bases) {
             space.managed_alloc(base, b.bytes);
         }
+
+        // What a streamed touch needs of its buffer, looked up once: the
+        // buffer's slots, its chunk count (touch indices wrap into it) and
+        // whether the host backs it; `None` for `Scratch` buffers.
+        let touch_targets: Vec<Option<TouchTarget>> = buffers
+            .iter()
+            .zip(&bases)
+            .map(|(b, &base)| {
+                (!matches!(b.role, BufferRole::Scratch)).then(|| TouchTarget {
+                    slots: space.resolve(base, b.bytes),
+                    chunks: b.bytes.div_ceil(dev.uvm.chunk_size).max(1),
+                    host_backed: b.role.is_input(),
+                })
+            })
+            .collect();
 
         let mut memcpy = Nanos::ZERO;
         let mut kernel = Nanos::ZERO;
@@ -583,12 +619,12 @@ impl Runner {
                     counters
                         .transfer
                         .record_prefetch((b.bytes as f64 * coverage) as u64, t);
-                    trace_phase(Category::Memcpy, format!("prefetch({})", b.name), t);
+                    trace_phase(Category::Memcpy, format_args!("prefetch({})", b.name), t);
                     memcpy += t;
                     let extra = ctx.transfer(&format!("prefetch({})", b.name), t)?;
                     trace_phase(
                         Category::Memcpy,
-                        format!("chaos_retry_prefetch({})", b.name),
+                        format_args!("chaos_retry_prefetch({})", b.name),
                         extra,
                     );
                 }
@@ -624,13 +660,13 @@ impl Runner {
             let style = mode.kernel_style(k.standard_style());
             let r = self.executor.execute(*k, style, &env);
             let inv = k.invocations().max(1);
-            trace_phase(Category::Kernel, k.name().to_string(), r.time * inv);
+            trace_phase(Category::Kernel, format_args!("{}", k.name()), r.time * inv);
             kernel += r.time * inv;
             merge_kernel_counters(counters, &r, inv);
             let extra = ctx.kernel(k.name(), r.time * inv)?;
             trace_phase(
                 Category::Kernel,
-                format!("chaos_replay({})", k.name()),
+                format_args!("chaos_replay({})", k.name()),
                 extra,
             );
 
@@ -642,7 +678,7 @@ impl Runner {
             let mut stall = conflict_refault.stall;
             trace_phase(
                 Category::Memcpy,
-                "conflict_migration",
+                format_args!("conflict_migration"),
                 conflict_refault.transfer,
             );
             memcpy += conflict_refault.transfer;
@@ -659,21 +695,19 @@ impl Runner {
                 let mut seq = space.touch_sequence();
                 let mut unknown_buffer = None;
                 let round = program.for_each_page_touch(ki, inv, dev.uvm.chunk_size, &mut |t| {
-                    let Some(b) = buffers.get(t.buffer) else {
+                    let Some(target) = touch_targets.get(t.buffer) else {
                         unknown_buffer.get_or_insert(t.buffer);
                         return;
                     };
-                    if unknown_buffer.is_some() || matches!(b.role, BufferRole::Scratch) {
+                    let (Some(target), None) = (target, unknown_buffer) else {
                         return;
-                    }
-                    let nchunks = b.bytes.div_ceil(dev.uvm.chunk_size).max(1);
-                    seq.touch(ChunkTouch {
-                        chunk: ChunkId::new(
-                            bases[t.buffer].as_u64() / dev.uvm.chunk_size + t.chunk % nchunks,
-                        ),
-                        write: t.write,
-                        host_backed: b.role.is_input(),
-                    });
+                    };
+                    let offset = if t.chunk < target.chunks {
+                        t.chunk
+                    } else {
+                        t.chunk % target.chunks
+                    };
+                    seq.touch_at(&target.slots, offset, t.write, target.host_backed);
                 });
                 if let Some(buffer) = unknown_buffer {
                     return Err(SimError::InvalidProgram(format!(
@@ -695,7 +729,7 @@ impl Runner {
                     .record_migration(fr.chunks * dev.uvm.chunk_size, fr.transfer);
                 trace_phase(
                     Category::Memcpy,
-                    format!("migration({}#{inv})", k.name()),
+                    format_args!("migration({}#{inv})", k.name()),
                     fr.transfer,
                 );
                 memcpy += fr.transfer;
@@ -717,7 +751,7 @@ impl Runner {
                     counters
                         .transfer
                         .record_migration(fr.chunks * dev.uvm.chunk_size, t);
-                    trace_phase(Category::Memcpy, format!("migration({})", b.name), t);
+                    trace_phase(Category::Memcpy, format_args!("migration({})", b.name), t);
                     memcpy += t;
                 }
             }
@@ -726,7 +760,7 @@ impl Runner {
             // span so the stall cost is separable in the viewer.
             set_label(Dim::Stream, "compute");
             let exposed = stall.scale(1.0 / dev.fault_stall_overlap);
-            trace_phase(Category::Kernel, "fault_stall", exposed);
+            trace_phase(Category::Kernel, format_args!("fault_stall"), exposed);
             kernel += exposed;
             fault_stall += exposed;
 
@@ -749,9 +783,17 @@ impl Runner {
                         .link
                         .transfer_time(LinkPath::DemandMigration, refaults * chunk);
                     ctx.record_storm(storm_stall, storm_transfer);
-                    trace_phase(Category::Kernel, "chaos_storm_stall", storm_stall);
+                    trace_phase(
+                        Category::Kernel,
+                        format_args!("chaos_storm_stall"),
+                        storm_stall,
+                    );
                     set_label(Dim::Stream, "h2d");
-                    trace_phase(Category::Memcpy, "chaos_storm_migration", storm_transfer);
+                    trace_phase(
+                        Category::Memcpy,
+                        format_args!("chaos_storm_migration"),
+                        storm_transfer,
+                    );
                     set_label(Dim::Stream, "compute");
                 }
             }
@@ -768,12 +810,12 @@ impl Runner {
                 };
                 let t = space.writeback_dirty(base, b.bytes, path, &dev.link);
                 counters.transfer.record_writeback(b.bytes, t);
-                trace_phase(Category::Memcpy, format!("writeback({})", b.name), t);
+                trace_phase(Category::Memcpy, format_args!("writeback({})", b.name), t);
                 memcpy += t;
                 let extra = ctx.transfer(&format!("writeback({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
-                    format!("chaos_retry_writeback({})", b.name),
+                    format_args!("chaos_retry_writeback({})", b.name),
                     extra,
                 );
             }
@@ -783,7 +825,7 @@ impl Runner {
         // link; charge their DMA time as transfer.
         trace_phase(
             Category::Memcpy,
-            "eviction_transfer",
+            format_args!("eviction_transfer"),
             space.eviction_transfer(),
         );
         memcpy += space.eviction_transfer();

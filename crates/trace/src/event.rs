@@ -31,7 +31,7 @@ pub enum Category {
     Tile,
     /// A stream-schedule operation.
     Stream,
-    /// Discrete-event engine internals (queue dispatch).
+    /// Engine-level phases (the fixed system overhead of a run).
     Engine,
     /// Memory-system events (host DRAM chip spill, eviction).
     Mem,

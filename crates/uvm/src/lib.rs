@@ -36,6 +36,6 @@ pub use fault::{FaultConfig, FaultReport};
 pub use heuristic::HeuristicPrefetcher;
 pub use page::ChunkId;
 pub use prefetch::{PrefetchModel, Regularity};
-pub use space::{TouchSequence, UvmConfig, UvmSpace};
+pub use space::{ResolvedRange, TouchSequence, UvmConfig, UvmSpace};
 pub use table::PageTable;
 pub use touch::{ChunkTouch, TouchConfig};

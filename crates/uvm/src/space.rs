@@ -5,18 +5,26 @@
 //! CPU↔GPU link, and accumulates [`UvmCounters`].
 //!
 //! Every range operation resolves its chunk range into per-region slot runs
-//! once (one binary search over the regions) and walks the slots in address
-//! order. A temporal touch sequence is a [`TouchSequence`] session
+//! once (one binary search over the regions) and walks each run as a tight
+//! loop over the page table's flag and stamp slices. While the device has
+//! room, a touch or prefetch loop moves chunks in without any eviction
+//! check; when the device fills partway through a run, the slot that needs
+//! room goes through the per-chunk path that evicts, and the loop resumes
+//! after it.
+//!
+//! A temporal touch sequence is a [`TouchSequence`] session
 //! ([`UvmSpace::touch_sequence`]): the caller streams touches into it as
-//! they are generated, each touch looks its slot up once, and the fault
-//! batches are costed when the session finishes — so a kernel round of a
-//! million touches never exists as a vector. Refault history lives in the
-//! page table as a per-slot bit (see [`crate::table`]), so no operation
-//! hashes chunk ids.
+//! they are generated and the fault batches are costed when the session
+//! finishes — so a kernel round of a million touches never exists as a
+//! vector. A caller that touches the same buffers over and over resolves
+//! each buffer once ([`UvmSpace::resolve`]) and touches by chunk offset
+//! ([`TouchSequence::touch_at`]), so a touch costs no region search.
+//! Refault history lives in the page table as a per-slot bit (see
+//! [`crate::table`]), so no operation hashes chunk ids.
 
 use crate::fault::{FaultConfig, FaultReport};
-use crate::page::{chunk_span, CHUNK_SIZE};
-use crate::table::{PageTable, SlotRef, Span};
+use crate::page::{chunk_span, ChunkId, CHUNK_SIZE};
+use crate::table::{PageTable, SlotRef, SlotRun, Span};
 use crate::touch::{ChunkTouch, FaultBatcher, TouchConfig};
 use hetsim_counters::UvmCounters;
 use hetsim_engine::time::Nanos;
@@ -96,20 +104,33 @@ impl UvmSpace {
         chunk_span(base, bytes, self.config.chunk_size)
     }
 
-    /// Calls `f` on every chunk of the range in address order, with its
-    /// slot, or `None` for a chunk no region covers. The slots are resolved
-    /// once per region; `f` may change slot state but must not register.
-    fn for_each_chunk(
-        &mut self,
-        chunks: Range<u64>,
-        mut f: impl FnMut(&mut Self, Option<SlotRef>),
-    ) {
+    /// Calls `f` on every span of the range in address order: the slot
+    /// run of each region, resolved once, and the gaps no region covers.
+    /// `f` may change slot state but must not register.
+    fn for_each_span(&mut self, chunks: Range<u64>, mut f: impl FnMut(&mut Self, Span)) {
         let mut walk = self.table.spans(chunks);
         while let Some(span) = self.table.next_span(&mut walk) {
-            match span {
-                Span::Slots(run) => run.for_each(|r| f(self, Some(r))),
-                Span::Gap(len) => (0..len).for_each(|_| f(self, None)),
-            }
+            f(self, span);
+        }
+    }
+
+    /// How many more chunks fit on the device before it must evict.
+    fn room(&self) -> u64 {
+        self.config
+            .device_capacity
+            .saturating_sub(self.resident_bytes)
+            / self.config.chunk_size
+    }
+
+    /// Resolves the managed byte range `[base, base + bytes)` to its
+    /// page-table slots once, for [`TouchSequence::touch_at`]. The result
+    /// belongs to this space and stays valid across later allocations,
+    /// frees and evictions: slots never move.
+    pub fn resolve(&self, base: Addr, bytes: u64) -> ResolvedRange {
+        let chunks = self.chunks(base, bytes);
+        ResolvedRange {
+            first: chunks.start,
+            slots: self.table.covering_run(chunks).unwrap_or_default(),
         }
     }
 
@@ -137,27 +158,29 @@ impl UvmSpace {
         // fixed before anything moves, because each move may evict a chunk
         // further along the same range.
         let mut pending = 0u64;
-        self.for_each_chunk(chunks.clone(), |s, r| match r {
-            Some(r) if s.table.slot_is_resident(r) => {}
-            Some(r) => {
-                s.table.mark_slot(r);
-                pending += 1;
-            }
-            None => pending += 1,
+        self.for_each_span(chunks.clone(), |s, span| {
+            pending += match span {
+                Span::Slots(run) => s.table.mark_run(run),
+                Span::Gap(len) => len,
+            };
         });
         let n = (pending as f64 * coverage).round() as u64;
         // Move the first `n` marked chunks and clear every mark; an
         // unregistered chunk inside that prefix cannot move.
-        let mut moved = 0u64;
-        self.for_each_chunk(chunks, |s, r| match r {
-            Some(r) => {
-                if s.table.take_slot_mark(r) && moved < n {
-                    s.make_resident(r);
-                    moved += 1;
-                }
-            }
-            None => assert!(moved == n, "made unmanaged chunk resident"),
+        let mut left = n;
+        self.for_each_span(chunks, |s, span| match span {
+            Span::Slots(mut run) => loop {
+                let made = s.table.prefetch_run(&mut run, &mut left, s.room());
+                s.resident_bytes += made * s.config.chunk_size;
+                // The device is full: the next marked slot evicts.
+                let Some(r) = run.next() else { break };
+                s.table.take_slot_mark(r);
+                s.make_resident(r);
+                left -= 1;
+            },
+            Span::Gap(_) => assert!(left == 0, "made unmanaged chunk resident"),
         });
+        let moved = n - left;
         if moved == 0 {
             return Nanos::ZERO;
         }
@@ -203,14 +226,21 @@ impl UvmSpace {
     ) -> FaultReport {
         let mut faulted = 0u64;
         let mut refaults = 0u64;
-        self.for_each_chunk(self.chunks(base, bytes), |s, r| {
-            let r = r.expect("made unmanaged chunk resident");
-            if !s.table.slot_is_resident(r) {
+        self.for_each_span(self.chunks(base, bytes), |s, span| {
+            let Span::Slots(mut run) = span else {
+                panic!("made unmanaged chunk resident")
+            };
+            loop {
+                let made = s.table.touch_run(&mut run, write, s.room(), &mut refaults);
+                s.resident_bytes += made * s.config.chunk_size;
+                faulted += made;
+                // The device is full: the next host-resident slot evicts.
+                let Some(r) = run.next() else { break };
                 refaults += u64::from(s.table.slot_was_evicted(r));
                 s.make_resident(r);
+                s.table.touch_slot(r, write);
                 faulted += 1;
             }
-            s.table.touch_slot(r, write);
         });
         if faulted == 0 {
             return FaultReport::default();
@@ -326,9 +356,9 @@ impl UvmSpace {
         link: &CpuGpuLink,
     ) -> Nanos {
         let mut cleaned = 0u64;
-        self.for_each_chunk(self.chunks(base, bytes), |s, r| {
-            if let Some(r) = r.filter(|&r| s.table.slot_is_resident(r)) {
-                cleaned += u64::from(s.table.clear_slot_dirty(r));
+        self.for_each_span(self.chunks(base, bytes), |s, span| {
+            if let Span::Slots(run) = span {
+                cleaned += s.table.clean_run(run);
             }
         });
         if cleaned == 0 {
@@ -360,21 +390,19 @@ impl UvmSpace {
     pub fn displace_fraction(&mut self, base: Addr, bytes: u64, fraction: f64) -> u64 {
         assert!((0.0..=1.0).contains(&fraction), "fraction out of [0,1]");
         let chunks = self.chunks(base, bytes);
-        let resident_at = |s: &Self, r: Option<SlotRef>| r.filter(|&r| s.table.slot_is_resident(r));
         let mut resident = 0u64;
-        self.for_each_chunk(chunks.clone(), |s, r| {
-            resident += u64::from(resident_at(s, r).is_some());
+        self.for_each_span(chunks.clone(), |s, span| {
+            if let Span::Slots(run) = span {
+                resident += s.table.resident_in(run);
+            }
         });
         let displaced = (resident as f64 * fraction).round() as u64;
         // Skip the leading resident chunks; displacing moves nothing in, so
         // residency ahead of the walk cannot change.
         let mut skip = resident - displaced;
-        self.for_each_chunk(chunks, |s, r| {
-            let Some(r) = resident_at(s, r) else { return };
-            if skip > 0 {
-                skip -= 1;
-            } else {
-                s.table.displace_slot(r);
+        self.for_each_span(chunks, |s, span| {
+            if let Span::Slots(run) = span {
+                s.table.displace_run(run, &mut skip);
             }
         });
         self.resident_bytes -= displaced * self.config.chunk_size;
@@ -403,10 +431,11 @@ impl UvmSpace {
     pub fn free(&mut self, base: Addr, bytes: u64, link: &CpuGpuLink) -> Nanos {
         let mut dirty_chunks = 0u64;
         let mut was_resident = 0u64;
-        self.for_each_chunk(self.chunks(base, bytes), |s, r| {
-            if let Some(r) = r {
-                was_resident += u64::from(s.table.slot_is_resident(r));
-                dirty_chunks += u64::from(s.table.unregister_slot(r));
+        self.for_each_span(self.chunks(base, bytes), |s, span| {
+            if let Span::Slots(run) = span {
+                let (resident, dirty) = s.table.unregister_run(run);
+                was_resident += resident;
+                dirty_chunks += dirty;
             }
         });
         self.resident_bytes -= was_resident * self.config.chunk_size;
@@ -425,7 +454,7 @@ impl UvmSpace {
     fn make_resident(&mut self, slot: SlotRef) {
         let mut evicted = 0u64;
         while self.resident_bytes + self.config.chunk_size > self.config.device_capacity {
-            match self.table.evict_lru() {
+            match self.table.evict_lru_slot() {
                 Some((_, dirty)) => {
                     self.resident_bytes -= self.config.chunk_size;
                     self.counters.record_evicted_pages(1);
@@ -457,6 +486,20 @@ impl UvmSpace {
         self.resident_bytes += self.config.chunk_size;
     }
 
+    /// Speculatively migrates a slot run: makes its managed host-resident
+    /// slots resident, evicting if the device is full. Returns how many
+    /// moved.
+    fn speculate(&mut self, run: SlotRun) -> u64 {
+        let mut moved = 0;
+        for r in run {
+            if self.table.slot_is_managed(r) && !self.table.slot_is_resident(r) {
+                self.make_resident(r);
+                moved += 1;
+            }
+        }
+        moved
+    }
+
     /// Bytes currently device-resident.
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
@@ -476,6 +519,18 @@ impl UvmSpace {
     pub fn table(&self) -> &PageTable {
         &self.table
     }
+}
+
+/// A managed byte range resolved to its page-table slots once, by
+/// [`UvmSpace::resolve`]: [`TouchSequence::touch_at`] then finds a chunk's
+/// slot by its offset into the range, with no region search.
+#[derive(Debug, Clone)]
+pub struct ResolvedRange {
+    /// Chunk id at offset 0.
+    first: u64,
+    /// The range's slots when one region covered it all at resolution,
+    /// else empty (touches then look their slot up by chunk id).
+    slots: SlotRun,
 }
 
 /// One temporal touch sequence in progress, from
@@ -503,10 +558,35 @@ impl TouchSequence<'_> {
     ///
     /// Panics if the touch faults on an unmanaged chunk.
     pub fn touch(&mut self, t: ChunkTouch) {
+        let slot = self.space.table.find(t.chunk);
+        self.touch_slot(slot, SlotRun::default(), t);
+    }
+
+    /// Replays one access of the sequence to the chunk at `offset` into a
+    /// range [`UvmSpace::resolve`] resolved on this space: the same as
+    /// [`TouchSequence::touch`] on that chunk, without the slot lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the touch faults on an unmanaged chunk.
+    pub fn touch_at(&mut self, range: &ResolvedRange, offset: u64, write: bool, host_backed: bool) {
+        let t = ChunkTouch {
+            chunk: ChunkId::new(range.first + offset),
+            write,
+            host_backed,
+        };
+        match range.slots.split_at(offset) {
+            Some((r, after)) => self.touch_slot(Some(r), after, t),
+            None => self.touch(t),
+        }
+    }
+
+    /// Replays touch `t`, whose chunk's slot is `slot`; `after` holds slots
+    /// known to follow it in address order (speculation walks those
+    /// without a region search).
+    fn touch_slot(&mut self, slot: Option<SlotRef>, mut after: SlotRun, t: ChunkTouch) {
         let space = &mut *self.space;
-        let slot = space.table.find(t.chunk);
-        if let Some(r) = slot.filter(|&r| space.table.slot_is_resident(r)) {
-            space.table.touch_slot(r, t.write);
+        if slot.is_some_and(|r| space.table.touch_if_resident(r, t.write)) {
             self.batcher.hit();
             return;
         }
@@ -530,18 +610,21 @@ impl TouchSequence<'_> {
             self.migrated += 1;
         }
         // The speculative block after the faulting chunk, clipped to the
-        // managed range.
+        // managed range: the known slots first, then a span walk over what
+        // lies past them.
         if self.spec_block > 1 {
-            space.for_each_chunk(idx + 1..idx + self.spec_block, |s, spec| {
-                let Some(spec) = spec else { return };
-                if s.table.slot_is_managed(spec) && !s.table.slot_is_resident(spec) {
-                    s.make_resident(spec);
-                    self.heuristic_pages += 1;
-                    if t.host_backed {
-                        self.migrated += 1;
-                    }
+            let known = after.take_front(self.spec_block - 1);
+            let walked = idx + 1 + known.len()..idx + self.spec_block;
+            let mut moved = space.speculate(known);
+            space.for_each_span(walked, |s, span| {
+                if let Span::Slots(run) = span {
+                    moved += s.speculate(run);
                 }
             });
+            self.heuristic_pages += moved;
+            if t.host_backed {
+                self.migrated += moved;
+            }
         }
     }
 
@@ -624,7 +707,6 @@ impl TouchSequence<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::ChunkId;
 
     fn space() -> UvmSpace {
         UvmSpace::new(UvmConfig::a100())

@@ -9,13 +9,13 @@
 //!
 //! Managed allocations register dense runs of chunk ids (one contiguous
 //! range per buffer), so the table keeps per-chunk state in one
-//! append-only *slot arena* instead of a hash map, and threads an
-//! intrusive doubly-linked LRU list through the slots instead of keeping a
-//! separate ordered index. A slot is named by its `u32` arena index, which
-//! never changes, so the LRU links never go stale. A slot is a flag byte
-//! plus two `u32` links: 12 bytes per 64 KiB chunk.
+//! append-only *slot arena* instead of a hash map. A slot is named by its
+//! `u32` arena index, which never changes. A slot is a flag byte plus a
+//! `u32` last-use stamp, kept as two parallel arrays (structure of
+//! arrays): 5 bytes per 64 KiB chunk, and a range walk reads the flags and
+//! stamps of consecutive slots as two contiguous slices.
 //!
-//! The arena lives in fixed-size blocks of 2^17 slots (1.5 MiB, 8 GiB of
+//! The arena lives in fixed-size blocks of 2^17 slots (640 KiB, 8 GiB of
 //! managed memory at 64 KiB chunks). Only the last, partly filled block
 //! grows, by doubling, so a small table holds only its slots; a full block
 //! is never copied. Registration therefore stays amortized O(1) per chunk,
@@ -29,8 +29,28 @@
 //! slot finds its chunk again (binary search over region bases), while a
 //! second, address-sorted index serves chunk lookups and range walks.
 //!
-//! The arena holds at most 2^32 − 1 slots (one index is the LRU list's
-//! terminator); [`PageTable::register_range`] panics past that.
+//! The arena holds at most 2^32 − 1 slots (its length is a `u32`);
+//! [`PageTable::register_range`] panics past that.
+//!
+//! # LRU by recency stamps
+//!
+//! Every access to a device-resident slot, and every move onto the
+//! device, writes the table's clock into the slot's stamp and advances
+//! the clock, so the least recently used resident slot is the one with
+//! the smallest stamp. A touch is a store, not an unlink and relink.
+//!
+//! Eviction pops from a *victim order*: the resident slots as packed
+//! `stamp << 32 | slot` words in ascending order, built (one scan of the
+//! flags, one sort) only when an eviction finds it used up, so a table
+//! that never evicts never builds it. Every stamp handed out after a
+//! build is larger than every stamp in it, so the order's still-current
+//! entries are exactly the oldest resident slots, oldest first. An entry
+//! whose slot has since left the device or been re-stamped is skipped; a
+//! re-stamped slot is found again by the next build.
+//!
+//! The clock is a `u32`. Before it would pass `u32::MAX`, a renumbering
+//! pass re-stamps the resident slots `0, 1, 2, …` in LRU order and
+//! rewrites the victim order to match, so eviction order survives.
 //!
 //! # Range walks
 //!
@@ -39,9 +59,12 @@
 //! existing regions and appends the rest, one region extension or insert
 //! per gap; [`UvmSpace`](crate::space::UvmSpace) walks every other range
 //! (touch, prefetch, displacement, write-back, free) as per-region slot
-//! runs from one binary search, driving a crate-private slot API keyed by
-//! slot reference. The public per-chunk methods wrap the same slot
-//! operations.
+//! runs from one binary search. Each run is one tight loop over the flag
+//! and stamp slices of its arena blocks. A loop that moves chunks onto the
+//! device takes a count of free device chunks and stops at the first slot
+//! that would need an eviction; the space evicts through the per-slot API
+//! for that slot and resumes the loop. The public per-chunk methods wrap
+//! the same slot operations.
 //!
 //! Each slot also carries the *refault bit*: set when the chunk leaves the
 //! device (LRU eviction or prefetch displacement), cleared when the chunk
@@ -52,26 +75,16 @@
 use crate::page::ChunkId;
 use std::ops::Range;
 
-/// Reference to one slot: its index in the arena. Doubles as the link
-/// type of the intrusive LRU list.
+/// Reference to one slot: its index in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SlotRef(u32);
 
-/// The list-terminator sentinel; no slot has this index.
-const NIL: SlotRef = SlotRef(u32::MAX);
-
-impl SlotRef {
-    fn is_nil(self) -> bool {
-        self == NIL
-    }
-}
-
-/// Most slots the arena holds: every `u32` index except [`NIL`]'s.
+/// Most slots the arena holds: the largest `u32` length.
 const MAX_SLOTS: u64 = u32::MAX as u64;
 
 /// Slot state bits.
 const MANAGED: u8 = 1;
-/// Device-resident (on the LRU list); implies `MANAGED`.
+/// Device-resident (in the LRU order); implies `MANAGED`.
 const RESIDENT: u8 = 1 << 1;
 const DIRTY: u8 = 1 << 2;
 /// The refault bit: the chunk has left the device since registration.
@@ -79,48 +92,87 @@ const EVICTED: u8 = 1 << 3;
 /// Scratch mark of a two-pass range walk, clear between operations.
 const PENDING: u8 = 1 << 4;
 
-/// Per-chunk page-table state plus its LRU links. `prev`/`next` are only
-/// meaningful while the chunk is device-resident (on the LRU list).
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    flags: u8,
-    prev: SlotRef,
-    next: SlotRef,
-}
-
-impl Slot {
-    /// A freshly registered, host-resident, clean chunk.
-    const FRESH: Slot = Slot {
-        flags: MANAGED,
-        prev: NIL,
-        next: NIL,
-    };
-
-    fn has(&self, flag: u8) -> bool {
-        self.flags & flag != 0
-    }
-}
-
-/// Slots per arena block, a power of two (1.5 MiB of slots).
+/// Slots per arena block, a power of two (640 KiB of flags and stamps).
 const BLOCK_BITS: u32 = 17;
 const BLOCK_SLOTS: usize = 1 << BLOCK_BITS;
+
+/// One arena block: the flags and last-use stamps of up to
+/// [`BLOCK_SLOTS`] slots, index for index. A stamp is only meaningful
+/// while its slot is device-resident.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    flags: Vec<u8>,
+    stamps: Vec<u32>,
+}
 
 /// The append-only slot arena: blocks of [`BLOCK_SLOTS`] slots. Only the
 /// last block grows, doubling up to its fixed size, so a small table
 /// allocates only the slots it holds; a full block never moves.
 #[derive(Debug, Clone, Default)]
 struct Arena {
-    blocks: Vec<Vec<Slot>>,
+    blocks: Vec<Block>,
     len: u32,
 }
 
+/// The block of slot `r` and its index inside it.
+fn block_of(r: u32) -> (usize, usize) {
+    ((r >> BLOCK_BITS) as usize, r as usize & (BLOCK_SLOTS - 1))
+}
+
+/// Splits the slots `run` at block boundaries, in order.
+fn pieces(run: Range<u32>) -> impl Iterator<Item = Range<u32>> {
+    let mut lo = run.start;
+    std::iter::from_fn(move || {
+        (lo < run.end).then(|| {
+            let block_end = ((lo as u64 >> BLOCK_BITS) + 1) << BLOCK_BITS;
+            let hi = block_end.min(run.end as u64) as u32;
+            let piece = lo..hi;
+            lo = hi;
+            piece
+        })
+    })
+}
+
 impl Arena {
-    fn get(&self, r: SlotRef) -> &Slot {
-        &self.blocks[(r.0 >> BLOCK_BITS) as usize][r.0 as usize & (BLOCK_SLOTS - 1)]
+    fn flags(&self, r: SlotRef) -> u8 {
+        let (b, i) = block_of(r.0);
+        self.blocks[b].flags[i]
     }
 
-    fn get_mut(&mut self, r: SlotRef) -> &mut Slot {
-        &mut self.blocks[(r.0 >> BLOCK_BITS) as usize][r.0 as usize & (BLOCK_SLOTS - 1)]
+    fn flags_mut(&mut self, r: SlotRef) -> &mut u8 {
+        let (b, i) = block_of(r.0);
+        &mut self.blocks[b].flags[i]
+    }
+
+    fn stamp(&self, r: SlotRef) -> u32 {
+        let (b, i) = block_of(r.0);
+        self.blocks[b].stamps[i]
+    }
+
+    fn set_stamp(&mut self, r: SlotRef, stamp: u32) {
+        let (b, i) = block_of(r.0);
+        self.blocks[b].stamps[i] = stamp;
+    }
+
+    /// The flags of the slots `piece`, which lie in one block.
+    fn piece_flags(&self, piece: &Range<u32>) -> &[u8] {
+        let (b, i) = block_of(piece.start);
+        &self.blocks[b].flags[i..i + piece.len()]
+    }
+
+    /// The flags and stamps of the slots `piece`, which lie in one block.
+    fn piece_mut(&mut self, piece: &Range<u32>) -> (&mut [u8], &mut [u32]) {
+        let (b, i) = block_of(piece.start);
+        let block = &mut self.blocks[b];
+        let n = piece.len();
+        (&mut block.flags[i..i + n], &mut block.stamps[i..i + n])
+    }
+
+    /// Calls `f` on the flags of the slots `run`, in order.
+    fn for_each_flag(&mut self, run: Range<u32>, mut f: impl FnMut(&mut u8)) {
+        for piece in pieces(run) {
+            self.piece_mut(&piece).0.iter_mut().for_each(&mut f);
+        }
     }
 
     /// Appends `n` fresh slots, returning the index of the first.
@@ -129,18 +181,25 @@ impl Arena {
         self.len = arena_end(base, n);
         let mut left = n as usize;
         while left > 0 {
-            if self.blocks.last().is_none_or(|b| b.len() == BLOCK_SLOTS) {
-                self.blocks.push(Vec::new());
+            if self
+                .blocks
+                .last()
+                .is_none_or(|b| b.flags.len() == BLOCK_SLOTS)
+            {
+                self.blocks.push(Block::default());
             }
             let block = self.blocks.last_mut().expect("a block with room");
-            let take = left.min(BLOCK_SLOTS - block.len());
-            if block.capacity() < block.len() + take {
-                let want = (block.len() + take)
-                    .max(2 * block.capacity())
+            let len = block.flags.len();
+            let take = left.min(BLOCK_SLOTS - len);
+            if block.flags.capacity() < len + take {
+                let want = (len + take)
+                    .max(2 * block.flags.capacity())
                     .min(BLOCK_SLOTS);
-                block.reserve_exact(want - block.len());
+                block.flags.reserve_exact(want - len);
+                block.stamps.reserve_exact(want - len);
             }
-            block.resize(block.len() + take, Slot::FRESH);
+            block.flags.resize(len + take, MANAGED);
+            block.stamps.resize(len + take, 0);
             left -= take;
         }
         base
@@ -183,9 +242,33 @@ impl Region {
 }
 
 /// Consecutive slots of one region, yielded as [`SlotRef`]s in address
-/// order.
-#[derive(Debug, Clone)]
+/// order. The tight run walks consume it from the front.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct SlotRun(Range<u32>);
+
+impl SlotRun {
+    /// Number of slots left in the run.
+    pub(crate) fn len(&self) -> u64 {
+        self.0.len() as u64
+    }
+
+    /// The `i`-th slot of the run and the slots after it, if the run is
+    /// that long.
+    pub(crate) fn split_at(&self, i: u64) -> Option<(SlotRef, SlotRun)> {
+        (i < self.len()).then(|| {
+            let r = self.0.start + i as u32;
+            (SlotRef(r), SlotRun(r + 1..self.0.end))
+        })
+    }
+
+    /// Removes and returns the first `n` slots (all, if fewer).
+    pub(crate) fn take_front(&mut self, n: u64) -> SlotRun {
+        let mid = self.0.start + n.min(self.len()) as u32;
+        let front = SlotRun(self.0.start..mid);
+        self.0.start = mid;
+        front
+    }
+}
 
 impl Iterator for SlotRun {
     type Item = SlotRef;
@@ -224,9 +307,12 @@ pub struct PageTable {
     regions: Vec<Region>,
     /// Region ids (indices into `regions`) sorted by `start`.
     order: Vec<u32>,
-    /// Intrusive LRU list over device-resident slots (head = oldest).
-    head: SlotRef,
-    tail: SlotRef,
+    /// The stamp the next access hands out.
+    clock: u32,
+    /// The victim order: resident slots as `stamp << 32 | slot` words,
+    /// ascending; `victims[next_victim..]` is still to be popped.
+    victims: Vec<u64>,
+    next_victim: usize,
     managed: usize,
     resident: usize,
 }
@@ -244,8 +330,9 @@ impl PageTable {
             arena: Arena::default(),
             regions: Vec::new(),
             order: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            clock: 0,
+            victims: Vec::new(),
+            next_victim: 0,
             managed: 0,
             resident: 0,
         }
@@ -269,6 +356,17 @@ impl PageTable {
         let &id = self.order.get(self.first_ending_after(idx))?;
         let region = self.region(id);
         (region.start <= idx).then(|| SlotRef(region.slot_at(idx)))
+    }
+
+    /// The slots of the chunk ids `chunks` when one region covers them
+    /// all. Slots never move, so the run stays valid for the life of the
+    /// table.
+    pub(crate) fn covering_run(&self, chunks: Range<u64>) -> Option<SlotRun> {
+        let mut walk = self.spans(chunks);
+        match (self.next_span(&mut walk), self.next_span(&mut walk)) {
+            (Some(Span::Slots(run)), None) => Some(run),
+            _ => None,
+        }
     }
 
     /// Starts a span walk over the chunk ids `chunks`.
@@ -303,12 +401,8 @@ impl PageTable {
         }
     }
 
-    fn slot(&self, r: SlotRef) -> &Slot {
-        self.arena.get(r)
-    }
-
-    fn slot_mut(&mut self, r: SlotRef) -> &mut Slot {
-        self.arena.get_mut(r)
+    fn has(&self, r: SlotRef, flag: u8) -> bool {
+        self.arena.flags(r) & flag != 0
     }
 
     /// The chunk a slot holds: its region is the last one based at or
@@ -318,72 +412,129 @@ impl PageTable {
         ChunkId::new(region.start + (r.0 - region.base) as u64)
     }
 
-    // ---- intrusive LRU list ----
+    // ---- recency stamps and the victim order ----
 
-    fn lru_unlink(&mut self, r: SlotRef) {
-        let (prev, next) = {
-            let s = self.slot(r);
-            (s.prev, s.next)
-        };
-        if prev.is_nil() {
-            self.head = next;
-        } else {
-            self.slot_mut(prev).next = next;
+    /// The first of `n` consecutive stamps the caller is about to hand
+    /// out, renumbering first if they would run the clock past
+    /// `u32::MAX`. The caller advances `clock` past the stamps it used.
+    fn reserve_stamps(&mut self, n: u32) -> u32 {
+        if u32::MAX - self.clock < n {
+            self.renumber();
         }
-        if next.is_nil() {
-            self.tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
-        }
-        let s = self.slot_mut(r);
-        s.prev = NIL;
-        s.next = NIL;
+        self.clock
     }
 
-    fn lru_push_back(&mut self, r: SlotRef) {
-        let old_tail = self.tail;
-        {
-            let s = self.slot_mut(r);
-            s.prev = old_tail;
-            s.next = NIL;
-        }
-        if old_tail.is_nil() {
-            self.head = r;
-        } else {
-            self.slot_mut(old_tail).next = r;
-        }
-        self.tail = r;
+    /// Stamps a slot most recently used.
+    fn stamp_now(&mut self, r: SlotRef) {
+        let now = self.reserve_stamps(1);
+        self.arena.set_stamp(r, now);
+        self.clock = now + 1;
     }
 
-    // ---- slot API (range walks) ----
+    /// Rebuilds the victim order from every resident slot.
+    fn build_victims(&mut self) {
+        self.victims.clear();
+        self.victims.reserve_exact(self.resident);
+        self.next_victim = 0;
+        for (b, block) in self.arena.blocks.iter().enumerate() {
+            let base = (b as u64) << BLOCK_BITS;
+            for (i, (&f, &stamp)) in block.flags.iter().zip(&block.stamps).enumerate() {
+                if f & RESIDENT != 0 {
+                    self.victims.push((stamp as u64) << 32 | (base + i as u64));
+                }
+            }
+        }
+        self.victims.sort_unstable();
+    }
+
+    /// Re-stamps the resident slots `0, 1, 2, …` in LRU order, leaving
+    /// the victim order built over the new stamps.
+    fn renumber(&mut self) {
+        self.build_victims();
+        for (now, word) in self.victims.iter_mut().enumerate() {
+            let r = SlotRef(*word as u32);
+            self.arena.set_stamp(r, now as u32);
+            *word = (now as u64) << 32 | r.0 as u64;
+        }
+        self.clock = self.victims.len() as u32;
+    }
+
+    /// Removes and returns the least recently used resident slot.
+    fn pop_victim(&mut self) -> Option<SlotRef> {
+        if self.resident == 0 {
+            return None;
+        }
+        loop {
+            if self.next_victim == self.victims.len() {
+                self.build_victims();
+            }
+            let word = self.victims[self.next_victim];
+            self.next_victim += 1;
+            let r = SlotRef(word as u32);
+            if self.has(r, RESIDENT) && self.arena.stamp(r) == (word >> 32) as u32 {
+                return Some(r);
+            }
+        }
+    }
+
+    /// Evicts the least-recently-used resident slot back to the host,
+    /// setting its refault bit; returns the slot and whether it was
+    /// dirty, `None` if nothing is resident.
+    pub(crate) fn evict_lru_slot(&mut self) -> Option<(SlotRef, bool)> {
+        let victim = self.pop_victim()?;
+        self.resident -= 1;
+        let f = self.arena.flags_mut(victim);
+        let dirty = *f & DIRTY != 0;
+        *f = (*f & !(RESIDENT | DIRTY)) | EVICTED;
+        Some((victim, dirty))
+    }
+
+    #[cfg(test)]
+    fn set_clock(&mut self, clock: u32) {
+        self.clock = clock;
+    }
+
+    // ---- slot API (one slot at a time) ----
 
     /// Whether the slot's chunk is managed.
     pub(crate) fn slot_is_managed(&self, r: SlotRef) -> bool {
-        self.slot(r).has(MANAGED)
+        self.has(r, MANAGED)
     }
 
     /// Whether the slot's chunk is device-resident.
     pub(crate) fn slot_is_resident(&self, r: SlotRef) -> bool {
-        self.slot(r).has(RESIDENT)
+        self.has(r, RESIDENT)
     }
 
     /// The slot's refault bit.
     pub(crate) fn slot_was_evicted(&self, r: SlotRef) -> bool {
-        self.slot(r).has(EVICTED)
+        self.has(r, EVICTED)
     }
 
-    /// Records a device access to a managed slot: bumps LRU, marks dirty
-    /// for writes.
+    /// Records a device access to a managed slot: stamps it most recently
+    /// used if resident, marks dirty for writes.
     pub(crate) fn touch_slot(&mut self, r: SlotRef, write: bool) {
-        // Bumping the tail is a no-op, and the common case right after a
-        // fault made the slot resident.
-        if self.slot(r).has(RESIDENT) && self.tail != r {
-            self.lru_unlink(r);
-            self.lru_push_back(r);
+        if !self.touch_if_resident(r, write) && write {
+            *self.arena.flags_mut(r) |= DIRTY;
+        }
+    }
+
+    /// [`PageTable::touch_slot`] on a resident slot; a host-resident slot
+    /// is left alone. Returns whether the slot was resident.
+    pub(crate) fn touch_if_resident(&mut self, r: SlotRef, write: bool) -> bool {
+        let now = self.reserve_stamps(1);
+        let (b, i) = block_of(r.0);
+        let block = &mut self.arena.blocks[b];
+        let f = &mut block.flags[i];
+        if *f & RESIDENT == 0 {
+            return false;
         }
         if write {
-            self.slot_mut(r).flags |= DIRTY;
+            *f |= DIRTY;
         }
+        block.stamps[i] = now;
+        self.clock = now + 1;
+        true
     }
 
     /// Marks a slot device-resident (after migration or prefetch) and most
@@ -393,61 +544,192 @@ impl PageTable {
     ///
     /// Panics if the slot's chunk is not managed.
     pub(crate) fn make_slot_resident(&mut self, r: SlotRef) {
-        let flags = self.slot(r).flags;
-        assert!(flags & MANAGED != 0, "made unmanaged chunk resident");
-        if flags & RESIDENT != 0 {
-            self.lru_unlink(r);
-        } else {
-            self.slot_mut(r).flags |= RESIDENT;
+        let f = self.arena.flags_mut(r);
+        assert!(*f & MANAGED != 0, "made unmanaged chunk resident");
+        if *f & RESIDENT == 0 {
+            *f |= RESIDENT;
             self.resident += 1;
         }
-        self.lru_push_back(r);
-    }
-
-    /// Clears a slot's dirty bit, returning whether it was set.
-    pub(crate) fn clear_slot_dirty(&mut self, r: SlotRef) -> bool {
-        let s = self.slot_mut(r);
-        let dirty = s.has(DIRTY);
-        s.flags &= !DIRTY;
-        dirty
-    }
-
-    /// Returns a resident slot to the host without writeback — a fresh
-    /// registration that keeps the refault bit set.
-    pub(crate) fn displace_slot(&mut self, r: SlotRef) {
-        debug_assert!(self.slot_is_resident(r), "displaced a host-resident chunk");
-        self.lru_unlink(r);
-        self.resident -= 1;
-        self.slot_mut(r).flags = MANAGED | EVICTED;
-    }
-
-    /// Unregisters a slot (free), returning whether it was dirty on the
-    /// device (needs writeback). Unmanaged slots are a no-op.
-    pub(crate) fn unregister_slot(&mut self, r: SlotRef) -> bool {
-        let flags = self.slot(r).flags;
-        if flags & MANAGED == 0 {
-            return false;
-        }
-        if flags & RESIDENT != 0 {
-            self.lru_unlink(r);
-            self.resident -= 1;
-        }
-        self.managed -= 1;
-        self.slot_mut(r).flags = 0;
-        flags & RESIDENT != 0 && flags & DIRTY != 0
-    }
-
-    /// Sets a slot's scratch mark.
-    pub(crate) fn mark_slot(&mut self, r: SlotRef) {
-        self.slot_mut(r).flags |= PENDING;
+        self.stamp_now(r);
     }
 
     /// Clears a slot's scratch mark, returning whether it was set.
     pub(crate) fn take_slot_mark(&mut self, r: SlotRef) -> bool {
-        let s = self.slot_mut(r);
-        let marked = s.has(PENDING);
-        s.flags &= !PENDING;
+        let f = self.arena.flags_mut(r);
+        let marked = *f & PENDING != 0;
+        *f &= !PENDING;
         marked
+    }
+
+    // ---- run API (tight loops over one region's slots) ----
+
+    /// Touches the run's slots in address order: each is stamped most
+    /// recently used and, for writes, marked dirty; a host-resident slot
+    /// is made resident first, as long as fewer than `room` slots have
+    /// been. Stops at the first slot that would need more room, leaving it
+    /// at the front of `run`. Adds refaults to `refaults` and returns how
+    /// many slots it made resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot it would make resident is not managed.
+    pub(crate) fn touch_run(
+        &mut self,
+        run: &mut SlotRun,
+        write: bool,
+        room: u64,
+        refaults: &mut u64,
+    ) -> u64 {
+        let dirty = if write { DIRTY } else { 0 };
+        let mut made = 0u64;
+        for piece in pieces(run.0.clone()) {
+            let first = self.reserve_stamps(piece.len() as u32);
+            let (flags, stamps) = self.arena.piece_mut(&piece);
+            let mut done = 0;
+            for (f, stamp) in flags.iter_mut().zip(stamps) {
+                if *f & RESIDENT == 0 {
+                    if made == room {
+                        break;
+                    }
+                    assert!(*f & MANAGED != 0, "made unmanaged chunk resident");
+                    *refaults += u64::from(*f & EVICTED != 0);
+                    made += 1;
+                }
+                *f |= RESIDENT | dirty;
+                *stamp = first + done;
+                done += 1;
+            }
+            self.clock = first + done;
+            run.0.start += done;
+            if run.0.start < piece.end {
+                break;
+            }
+        }
+        self.resident += made as usize;
+        made
+    }
+
+    /// Marks the run's host-resident slots (managed or not) for a
+    /// two-pass walk, returning how many it marked.
+    pub(crate) fn mark_run(&mut self, run: SlotRun) -> u64 {
+        let mut marked = 0u64;
+        self.arena.for_each_flag(run.0, |f| {
+            if *f & RESIDENT == 0 {
+                *f |= PENDING;
+                marked += 1;
+            }
+        });
+        marked
+    }
+
+    /// Clears the run's marks in address order, making each marked slot
+    /// resident and most recently used while `left` is positive, as long
+    /// as fewer than `room` slots have been; decrements `left` per slot
+    /// moved. Stops at the first marked slot that would need more room,
+    /// leaving it marked at the front of `run`. Returns how many slots it
+    /// made resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot it would make resident is not managed.
+    pub(crate) fn prefetch_run(&mut self, run: &mut SlotRun, left: &mut u64, room: u64) -> u64 {
+        let mut made = 0u64;
+        for piece in pieces(run.0.clone()) {
+            let mut now = self.reserve_stamps(piece.len() as u32);
+            let (flags, stamps) = self.arena.piece_mut(&piece);
+            let mut done = 0;
+            for (f, stamp) in flags.iter_mut().zip(stamps) {
+                if *f & PENDING != 0 {
+                    if *left > 0 {
+                        if made == room {
+                            break;
+                        }
+                        assert!(*f & MANAGED != 0, "made unmanaged chunk resident");
+                        *f |= RESIDENT;
+                        *stamp = now;
+                        now += 1;
+                        made += 1;
+                        *left -= 1;
+                    }
+                    *f &= !PENDING;
+                }
+                done += 1;
+            }
+            self.clock = now;
+            run.0.start += done;
+            if run.0.start < piece.end {
+                break;
+            }
+        }
+        self.resident += made as usize;
+        made
+    }
+
+    /// Clears the dirty bit of the run's resident slots, returning how
+    /// many were dirty.
+    pub(crate) fn clean_run(&mut self, run: SlotRun) -> u64 {
+        let mut cleaned = 0u64;
+        self.arena.for_each_flag(run.0, |f| {
+            if *f & (RESIDENT | DIRTY) == RESIDENT | DIRTY {
+                *f &= !DIRTY;
+                cleaned += 1;
+            }
+        });
+        cleaned
+    }
+
+    /// Number of the run's slots that are device-resident.
+    pub(crate) fn resident_in(&self, run: SlotRun) -> u64 {
+        pieces(run.0)
+            .map(|piece| {
+                self.arena
+                    .piece_flags(&piece)
+                    .iter()
+                    .filter(|&&f| f & RESIDENT != 0)
+                    .count() as u64
+            })
+            .sum()
+    }
+
+    /// Returns the run's resident slots, after skipping the first `skip`
+    /// of them, to the host without writeback: a fresh registration that
+    /// keeps the refault bit set. Decrements `skip` per slot skipped and
+    /// returns how many slots it displaced.
+    pub(crate) fn displace_run(&mut self, run: SlotRun, skip: &mut u64) -> u64 {
+        let mut displaced = 0u64;
+        self.arena.for_each_flag(run.0, |f| {
+            if *f & RESIDENT == 0 {
+                return;
+            }
+            if *skip > 0 {
+                *skip -= 1;
+            } else {
+                *f = MANAGED | EVICTED;
+                displaced += 1;
+            }
+        });
+        self.resident -= displaced as usize;
+        displaced
+    }
+
+    /// Unregisters the run's managed slots (free), returning how many
+    /// were device-resident and how many of those were dirty (need
+    /// writeback). Unmanaged slots are left alone.
+    pub(crate) fn unregister_run(&mut self, run: SlotRun) -> (u64, u64) {
+        let (mut managed, mut resident, mut dirty) = (0u64, 0u64, 0u64);
+        self.arena.for_each_flag(run.0, |f| {
+            if *f & MANAGED != 0 {
+                managed += 1;
+                if *f & RESIDENT != 0 {
+                    resident += 1;
+                    dirty += u64::from(*f & DIRTY != 0);
+                }
+                *f = 0;
+            }
+        });
+        self.managed -= managed as usize;
+        self.resident -= resident as usize;
+        (resident, dirty)
     }
 
     // ---- per-chunk and whole-range API ----
@@ -471,18 +753,12 @@ impl PageTable {
         while let Some(span) = self.next_span(&mut walk) {
             match span {
                 Span::Slots(run) => {
-                    for r in run {
-                        let flags = self.slot(r).flags;
-                        if flags & RESIDENT != 0 {
-                            self.lru_unlink(r);
-                            self.resident -= 1;
-                            was_resident += 1;
-                        }
-                        if flags & MANAGED == 0 {
-                            self.managed += 1;
-                        }
-                        *self.slot_mut(r) = Slot::FRESH;
-                    }
+                    let managed = &mut self.managed;
+                    self.arena.for_each_flag(run.0, |f| {
+                        was_resident += usize::from(*f & RESIDENT != 0);
+                        *managed += usize::from(*f & MANAGED == 0);
+                        *f = MANAGED;
+                    });
                 }
                 Span::Gap(len) => {
                     let start = walk.next - len;
@@ -511,6 +787,7 @@ impl PageTable {
                 }
             }
         }
+        self.resident -= was_resident;
         was_resident
     }
 
@@ -572,29 +849,22 @@ impl PageTable {
         let r = self
             .managed_ref(chunk)
             .expect("cleared dirty on unmanaged chunk");
-        self.clear_slot_dirty(r);
+        *self.arena.flags_mut(r) &= !DIRTY;
     }
 
     /// Evicts the least-recently-used device-resident chunk back to the
     /// host, returning `(chunk, was_dirty)`; `None` if nothing is resident.
     /// The victim's refault bit is set.
     pub fn evict_lru(&mut self) -> Option<(ChunkId, bool)> {
-        let victim = self.head;
-        if victim.is_nil() {
-            return None;
-        }
-        self.lru_unlink(victim);
-        self.resident -= 1;
-        let s = self.slot_mut(victim);
-        let dirty = s.has(DIRTY);
-        s.flags = (s.flags & !(RESIDENT | DIRTY)) | EVICTED;
+        let (victim, dirty) = self.evict_lru_slot()?;
         Some((self.chunk_of(victim), dirty))
     }
 
     /// Unregisters a chunk (free), returning whether it was dirty on the
     /// device (needs writeback).
     pub fn unregister(&mut self, chunk: ChunkId) -> bool {
-        self.find(chunk).is_some_and(|r| self.unregister_slot(r))
+        self.find(chunk)
+            .is_some_and(|r| self.unregister_run(SlotRun(r.0..r.0 + 1)).1 > 0)
     }
 
     /// Number of managed chunks.
@@ -613,10 +883,13 @@ impl PageTable {
         let mut v = Vec::new();
         for &id in &self.order {
             let region = self.region(id);
-            for (off, r) in (region.base..region.base + region.len).enumerate() {
-                let s = self.slot(SlotRef(r));
-                if s.has(RESIDENT) && s.has(DIRTY) {
-                    v.push(ChunkId::new(region.start + off as u64));
+            let mut chunk = region.start;
+            for piece in pieces(region.base..region.base + region.len) {
+                for &f in self.arena.piece_flags(&piece) {
+                    if f & (RESIDENT | DIRTY) == RESIDENT | DIRTY {
+                        v.push(ChunkId::new(chunk));
+                    }
+                    chunk += 1;
                 }
             }
         }
@@ -833,8 +1106,122 @@ mod tests {
     }
 
     #[test]
-    fn slot_is_a_flag_byte_and_two_u32_links() {
-        assert_eq!(std::mem::size_of::<Slot>(), 12);
+    fn slot_is_a_flag_byte_and_a_u32_stamp() {
+        let mut t = PageTable::new();
+        t.register_range(0..BLOCK_SLOTS as u64);
+        let block = &t.arena.blocks[0];
+        let bytes = std::mem::size_of_val(block.flags.as_slice())
+            + std::mem::size_of_val(block.stamps.as_slice());
+        assert_eq!(bytes, 5 * BLOCK_SLOTS, "5 bytes per chunk");
+        assert_eq!(
+            t.victims.capacity(),
+            0,
+            "no victim order before the first eviction"
+        );
+    }
+
+    /// Chunk ids of the victim order, emptying a copy of the table.
+    fn victim_order(t: &PageTable) -> Vec<(u64, bool)> {
+        let mut t = t.clone();
+        std::iter::from_fn(|| t.evict_lru())
+            .map(|(chunk, dirty)| (chunk.index(), dirty))
+            .collect()
+    }
+
+    /// What the public API shows of a table whose chunks are `0..n`.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// `(managed, resident, refault bit)` per chunk.
+        chunks: Vec<(bool, bool, bool)>,
+        victims: Vec<(u64, bool)>,
+        resident: usize,
+        dirty: Vec<ChunkId>,
+    }
+
+    fn observe(t: &PageTable, n: u64) -> Observed {
+        Observed {
+            chunks: (0..n)
+                .map(|i| (t.is_managed(c(i)), t.is_resident(c(i)), t.was_evicted(c(i))))
+                .collect(),
+            victims: victim_order(t),
+            resident: t.resident_count(),
+            dirty: t.dirty_resident(),
+        }
+    }
+
+    #[test]
+    fn touch_run_across_a_block_boundary_matches_the_per_chunk_path() {
+        let n = BLOCK_SLOTS as u64 + 64;
+        let edge = BLOCK_SLOTS as u64;
+        let mut base = PageTable::new();
+        base.register_range(0..n);
+        // Some residents before, inside and after the walked run; the
+        // oldest, inside it, is evicted so the run sees a refault bit.
+        for i in [edge - 10, 3, edge - 2, edge + 1, edge + 30, 5] {
+            base.make_resident(c(i));
+        }
+        base.evict_lru();
+        let run = edge - 20..edge + 20;
+        for room in [0, 7, 40] {
+            // Per-chunk: touch resident slots, fault host-resident ones in
+            // while there is room, stop at the first that would need more.
+            let mut per_chunk = base.clone();
+            let (mut made, mut refaults, mut stop) = (0, 0, run.end);
+            for i in run.clone() {
+                if !per_chunk.is_resident(c(i)) {
+                    if made == room {
+                        stop = i;
+                        break;
+                    }
+                    refaults += u64::from(per_chunk.was_evicted(c(i)));
+                    per_chunk.make_resident(c(i));
+                    made += 1;
+                }
+                per_chunk.touch(c(i), true);
+            }
+            let mut tight = base.clone();
+            let mut slots = tight.covering_run(run.clone()).expect("one region");
+            let mut tight_refaults = 0;
+            let tight_made = tight.touch_run(&mut slots, true, room, &mut tight_refaults);
+            assert_eq!(
+                (tight_made, tight_refaults),
+                (made, refaults),
+                "room {room}"
+            );
+            assert_eq!(slots.len(), run.end - stop, "stops at the same slot");
+            assert_eq!(observe(&tight, n), observe(&per_chunk, n), "room {room}");
+        }
+    }
+
+    #[test]
+    fn clock_wrap_renumbers_and_keeps_the_victim_order() {
+        // The same operations on a table whose clock starts short of its
+        // limit, so it renumbers once the victim order is built and partly
+        // consumed, and on a fresh one, whose order the model-based test
+        // checks.
+        let mut near = PageTable::new();
+        near.set_clock(u32::MAX - 150);
+        let mut fresh = PageTable::new();
+        for t in [&mut near, &mut fresh] {
+            t.register_range(0..64);
+            for i in 0..64 {
+                t.make_resident(c((i * 7) % 64));
+            }
+            for round in 0..8u64 {
+                for i in 0..64 {
+                    if (i + round) % 3 == 0 {
+                        t.touch(c(i), i % 2 == 0);
+                    }
+                }
+                // A run walk reserves its stamps up front.
+                let mut run = t.covering_run(round * 8..round * 8 + 8).unwrap();
+                t.touch_run(&mut run, false, 0, &mut 0);
+                t.evict_lru();
+                t.make_resident(c(round * 5));
+            }
+        }
+        assert!(near.clock < 1_000, "the clock was renumbered");
+        assert_eq!(observe(&near, 64), observe(&fresh, 64));
     }
 
     #[test]
@@ -867,7 +1254,12 @@ mod tests {
         let mut t = PageTable::new();
         let n = 2 * BLOCK_SLOTS as u64 + 5;
         t.register_range(0..n);
-        let capacities: Vec<usize> = t.arena.blocks.iter().map(Vec::capacity).collect();
+        let capacities: Vec<usize> = t.arena.blocks.iter().map(|b| b.flags.capacity()).collect();
+        assert!(t
+            .arena
+            .blocks
+            .iter()
+            .all(|b| b.stamps.capacity() == b.flags.capacity()));
         assert_eq!(
             capacities,
             [BLOCK_SLOTS, BLOCK_SLOTS, 5],
@@ -888,7 +1280,7 @@ mod tests {
             t.register(c(2 * i));
         }
         assert_eq!(t.arena.blocks.len(), 1);
-        assert_eq!(t.arena.blocks[0].capacity(), 128);
+        assert_eq!(t.arena.blocks[0].flags.capacity(), 128);
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //! message on both sides (unmanaged touches keep their messages); it is
 //! then rolled back on both. Temporal sequences reach the real space one
 //! touch at a time through a [`TouchSequence`](hetsim_uvm::TouchSequence)
-//! session, as the runtime streams them; the model replays the whole
-//! slice.
+//! session, as the runtime streams them — by chunk id, or by offset into an
+//! allocation resolved to its slots when it was made
+//! ([`UvmSpace::resolve`]) — while the model replays the same chunk-id
+//! stream as one slice. A second regime runs devices large enough that
+//! range touches and prefetches start on the tight, non-evicting loop and
+//! cross device capacity partway through.
 
 use hetsim_counters::UvmCounters;
 use hetsim_engine::rng::SimRng;
@@ -24,7 +28,7 @@ use hetsim_mem::link::{CpuGpuLink, LinkPath};
 use hetsim_trace::{session, TraceConfig};
 use hetsim_uvm::fault::FaultReport;
 use hetsim_uvm::page::{chunks_of_range, ChunkId, CHUNK_SIZE};
-use hetsim_uvm::space::{UvmConfig, UvmSpace};
+use hetsim_uvm::space::{ResolvedRange, UvmConfig, UvmSpace};
 use hetsim_uvm::table::PageTable;
 use hetsim_uvm::touch::{ChunkTouch, FaultBatcher};
 use std::collections::HashSet;
@@ -426,6 +430,9 @@ enum Op {
     Prefetch(Addr, u64, f64),
     Touch(Addr, u64, bool, bool),
     Sequence(Vec<ChunkTouch>),
+    /// A sequence of `(offset, write, host_backed)` touches into live
+    /// allocation `.0`, whose first chunk is `.1`.
+    SequenceAt(usize, u64, Vec<(u64, bool, bool)>),
     Displace(Addr, u64, f64),
     Writeback(Addr, u64, LinkPath),
     Free(Addr, u64),
@@ -484,7 +491,7 @@ fn random_op(
     live: &mut Vec<(u64, u64)>,
     managed: impl Fn(ChunkId) -> bool,
 ) -> Op {
-    match rng.below(16) {
+    match rng.below(18) {
         0..=1 => {
             // Fresh, overlapping or reused ranges, anywhere in the universe.
             let (start, len) = if !live.is_empty() && rng.chance(0.3) {
@@ -542,6 +549,26 @@ fn random_op(
             };
             Op::Writeback(base, bytes, path)
         }
+        16..=17 if !live.is_empty() => {
+            // The same mix by offset into one allocation, running now and
+            // then past its end (where touches look their slot up).
+            let buffer = rng.below(live.len() as u64) as usize;
+            let (start, len) = live[buffer];
+            let mut touches = Vec::new();
+            let mut cursor = rng.below(len);
+            for _ in 0..rng.range(1, 160) {
+                match rng.below(10) {
+                    0 => cursor = rng.below(len + 2),
+                    1..=5 => cursor = (cursor + 1) % (len + 2),
+                    _ => {}
+                }
+                touches.push((cursor, rng.chance(0.3), rng.chance(0.7)));
+            }
+            if rng.chance(0.9) {
+                touches.retain(|&(off, ..)| managed(ChunkId::new(start + off)));
+            }
+            Op::SequenceAt(buffer, start, touches)
+        }
         _ => {
             let (base, bytes) = pick_range(rng, live);
             Op::Free(base, bytes)
@@ -549,7 +576,9 @@ fn random_op(
     }
 }
 
-fn apply_real(s: &mut UvmSpace, op: &Op, link: &CpuGpuLink) -> Outcome {
+/// Applies `op` to the real space; `resolved[i]` is live allocation `i`
+/// resolved right after it was made.
+fn apply_real(s: &mut UvmSpace, op: &Op, resolved: &[ResolvedRange], link: &CpuGpuLink) -> Outcome {
     match op {
         &Op::Alloc(base, bytes) => {
             s.managed_alloc(base, bytes);
@@ -564,6 +593,14 @@ fn apply_real(s: &mut UvmSpace, op: &Op, link: &CpuGpuLink) -> Outcome {
             let mut seq = s.touch_sequence();
             for &t in touches {
                 seq.touch(t);
+            }
+            Outcome::Faults(seq.finish(link))
+        }
+        Op::SequenceAt(buffer, _, touches) => {
+            let range = &resolved[*buffer];
+            let mut seq = s.touch_sequence();
+            for &(offset, write, host_backed) in touches {
+                seq.touch_at(range, offset, write, host_backed);
             }
             Outcome::Faults(seq.finish(link))
         }
@@ -586,6 +623,17 @@ fn apply_model(s: &mut ModelSpace, op: &Op, link: &CpuGpuLink) -> Outcome {
             Outcome::Faults(s.demand_touch_range(base, bytes, write, hb, link))
         }
         Op::Sequence(touches) => Outcome::Faults(s.demand_touch_sequence(touches, link)),
+        Op::SequenceAt(_, first, touches) => {
+            let stream: Vec<ChunkTouch> = touches
+                .iter()
+                .map(|&(offset, write, host_backed)| ChunkTouch {
+                    chunk: ChunkId::new(first + offset),
+                    write,
+                    host_backed,
+                })
+                .collect();
+            Outcome::Faults(s.demand_touch_sequence(&stream, link))
+        }
         &Op::Displace(base, bytes, f) => Outcome::Displaced(s.displace_fraction(base, bytes, f)),
         &Op::Writeback(base, bytes, path) => {
             Outcome::Time(s.writeback_dirty(base, bytes, path, link))
@@ -668,43 +716,88 @@ fn assert_same_state(real: &UvmSpace, model: &ModelSpace, ctx: &Ctx) {
     assert_eq!(lru_order(rt), lru_order(mt), "LRU victim order {ctx}");
 }
 
-/// Random operation sequences over small devices produce identical
-/// reports, counters, page-table state, LRU order and trace events on the
-/// slot walks and the per-chunk model.
-#[test]
-fn slot_walks_match_per_chunk_model_on_random_sequences() {
+/// What one regime of the differential test exercised.
+#[derive(Default)]
+struct Tally {
+    panics: u64,
+    refaults: u64,
+    /// Range touches and prefetches that began with room on the device
+    /// and still evicted: their walk switched from the tight loop to the
+    /// evicting path partway through.
+    switched: u64,
+}
+
+/// Runs `cases` random operation sequences on both sides over devices of
+/// `capacity(rng)` chunks, comparing after every step.
+fn differential(salt: &str, cases: u64, capacity: impl Fn(&mut SimRng) -> u64) -> Tally {
     let link = CpuGpuLink::pcie4_a100();
-    let mut panics = 0;
-    let mut refaults = 0;
-    for case in 0..32u64 {
-        let mut rng = SimRng::seed_from_parts(&["space_equiv", "ops"], case);
+    let mut tally = Tally::default();
+    for case in 0..cases {
+        let mut rng = SimRng::seed_from_parts(&["space_equiv", salt], case);
         let mut config = UvmConfig::a100();
-        config.device_capacity = rng.below(7) * config.chunk_size;
+        config.device_capacity = capacity(&mut rng) * config.chunk_size;
         let mut real = UvmSpace::new(config);
         let mut model = ModelSpace::new(config);
         let mut live = Vec::new();
+        let mut resolved = Vec::new();
         for step in 0..120u64 {
             let op = random_op(&mut rng, &mut live, |c| model.table.is_managed(c));
             let ctx = Ctx(case, step, &op);
+            let had_room = config.device_capacity >= real.resident_bytes() + config.chunk_size;
+            let evicted = real.counters().pages_evicted();
             let (mut r, mut m) = (real.clone(), model.clone());
-            let (r_out, r_trace) = traced(|| apply_real(&mut r, &op, &link));
+            let (r_out, r_trace) = traced(|| apply_real(&mut r, &op, &resolved, &link));
             let (m_out, m_trace) = traced(|| apply_model(&mut m, &op, &link));
             assert_eq!(r_out, m_out, "outcome {ctx}");
             if r_out.is_ok() {
                 assert_eq!(r_trace, m_trace, "trace events {ctx}");
                 real = r;
                 model = m;
+                if had_room
+                    && real.counters().pages_evicted() > evicted
+                    && matches!(op, Op::Touch(..) | Op::Prefetch(..))
+                {
+                    tally.switched += 1;
+                }
             } else {
                 // Both panicked with one message (what a side recorded
                 // before its panic may differ): roll the step back.
-                panics += 1;
+                tally.panics += 1;
+            }
+            if let Op::Alloc(base, bytes) = op {
+                resolved.push(real.resolve(base, bytes));
             }
             assert_same_state(&real, &model, &ctx);
         }
-        refaults += real.counters().refaults();
+        tally.refaults += real.counters().refaults();
     }
-    assert!(panics > 0, "some unmanaged touches must have panicked");
-    assert!(refaults > 0, "small devices must refault");
+    tally
+}
+
+/// Random operation sequences over small devices produce identical
+/// reports, counters, page-table state, LRU order and trace events on the
+/// slot walks and the per-chunk model.
+#[test]
+fn slot_walks_match_per_chunk_model_on_random_sequences() {
+    let tally = differential("ops", 32, |rng| rng.below(7));
+    assert!(
+        tally.panics > 0,
+        "some unmanaged touches must have panicked"
+    );
+    assert!(tally.refaults > 0, "small devices must refault");
+}
+
+/// On devices of 4 to 23 chunks, range touches and prefetches that start
+/// with room and fill the device partway through match the model too.
+#[test]
+fn walks_that_fill_the_device_partway_match_per_chunk_model() {
+    let tally = differential("fill_partway", 48, |rng| rng.range(4, 24));
+    assert!(
+        tally.switched >= 32,
+        "only {} walks switched to the evicting path",
+        tally.switched
+    );
+    assert!(tally.refaults > 0, "filled devices must refault");
 }
 
 /// The panic message of `touch` on a space whose chunks 0..4 are managed.
@@ -753,11 +846,18 @@ fn empty_round_leaves_the_space_untouched() {
         config.device_capacity = rng.below(7) * config.chunk_size;
         let mut space = UvmSpace::new(config);
         let mut live = Vec::new();
+        let mut resolved = Vec::new();
         for step in 0..60u64 {
             let op = random_op(&mut rng, &mut live, |c| space.table().is_managed(c));
             let mut next = space.clone();
-            if traced(|| apply_real(&mut next, &op, &link)).0.is_ok() {
+            if traced(|| apply_real(&mut next, &op, &resolved, &link))
+                .0
+                .is_ok()
+            {
                 space = next;
+            }
+            if let Op::Alloc(base, bytes) = op {
+                resolved.push(space.resolve(base, bytes));
             }
             let mut after = space.clone();
             let (report, trace) = traced(|| after.touch_sequence().finish(&link));
