@@ -6,6 +6,7 @@ use crate::policy::RecoveryPolicy;
 use hetsim_engine::rng::SimRng;
 use hetsim_engine::time::Nanos;
 use hetsim_trace::Category;
+use std::fmt;
 
 /// The four injected fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -192,7 +193,9 @@ impl ChaosCtx {
     /// # Errors
     ///
     /// [`SimError::RetryExhausted`] when failures exceed the retry budget.
-    pub fn transfer(&mut self, site: &str, cost: Nanos) -> Result<Nanos, SimError> {
+    ///
+    /// The `site` name is formatted only when a fault fires.
+    pub fn transfer(&mut self, site: fmt::Arguments<'_>, cost: Nanos) -> Result<Nanos, SimError> {
         if self.plan.transfer_fault_rate <= 0.0 {
             return Ok(Nanos::ZERO);
         }
@@ -257,7 +260,13 @@ impl ChaosCtx {
     ///
     /// [`SimError::PinnedAllocFailed`] when
     /// [`RecoveryPolicy::pinned_fallback`] is off.
-    pub fn pinned_alloc(&mut self, site: &str, fallback_cost: Nanos) -> Result<Nanos, SimError> {
+    ///
+    /// The `site` name is formatted only when the allocation fails.
+    pub fn pinned_alloc(
+        &mut self,
+        site: fmt::Arguments<'_>,
+        fallback_cost: Nanos,
+    ) -> Result<Nanos, SimError> {
         if self.plan.pinned_fail_rate <= 0.0 || !self.rng.chance(self.plan.pinned_fail_rate) {
             return Ok(Nanos::ZERO);
         }
@@ -344,7 +353,7 @@ impl ChaosCtx {
     /// Drops a zero-width marker on the `chaos` track of the active trace
     /// session; no-op when tracing is off. Instants never perturb the
     /// per-category span sums the trace layer's additivity contract pins.
-    fn emit_instant(&self, kind: FaultKind, site: &str) {
+    fn emit_instant(&self, kind: FaultKind, site: impl fmt::Display) {
         if !hetsim_trace::session::enabled() {
             return;
         }
@@ -379,9 +388,9 @@ mod tests {
         let mut c = ChaosCtx::inert();
         assert!(!c.active());
         let us = Nanos::from_micros(10);
-        assert_eq!(c.transfer("t", us).unwrap(), Nanos::ZERO);
+        assert_eq!(c.transfer(format_args!("t"), us).unwrap(), Nanos::ZERO);
         assert_eq!(c.kernel("k", us).unwrap(), Nanos::ZERO);
-        assert_eq!(c.pinned_alloc("p", us).unwrap(), Nanos::ZERO);
+        assert_eq!(c.pinned_alloc(format_args!("p"), us).unwrap(), Nanos::ZERO);
         assert_eq!(c.storm_refaults(1000), 0);
         let r = c.finish();
         assert_eq!(r.injected(), 0);
@@ -394,7 +403,7 @@ mod tests {
             let mut c = heavy_ctx(seed);
             let mut extras = Vec::new();
             for i in 0..32 {
-                extras.push(c.transfer(&format!("t{i}"), Nanos::from_micros(5)));
+                extras.push(c.transfer(format_args!("t{i}"), Nanos::from_micros(5)));
                 extras.push(c.kernel(&format!("k{i}"), Nanos::from_micros(9)));
             }
             let _ = c.storm_refaults(1000);
@@ -410,7 +419,7 @@ mod tests {
         let mut memcpy = Nanos::ZERO;
         let mut kernel = Nanos::ZERO;
         for i in 0..64 {
-            if let Ok(e) = c.transfer(&format!("t{i}"), Nanos::from_micros(3)) {
+            if let Ok(e) = c.transfer(format_args!("t{i}"), Nanos::from_micros(3)) {
                 memcpy += e;
             }
             if let Ok(e) = c.kernel(&format!("k{i}"), Nanos::from_micros(4)) {
@@ -429,7 +438,9 @@ mod tests {
             ..FaultPlan::off()
         };
         let mut c = ChaosCtx::new(&plan, &RecoveryPolicy::brittle(), &["w"]);
-        let err = c.transfer("h2d", Nanos::from_micros(1)).unwrap_err();
+        let err = c
+            .transfer(format_args!("h2d"), Nanos::from_micros(1))
+            .unwrap_err();
         assert!(matches!(err, SimError::RetryExhausted { attempts: 1, .. }));
     }
 
@@ -441,7 +452,10 @@ mod tests {
         };
         let mut ok = ChaosCtx::new(&plan, &RecoveryPolicy::default(), &["w"]);
         let cost = Nanos::from_micros(12);
-        assert_eq!(ok.pinned_alloc("staging", cost).unwrap(), cost);
+        assert_eq!(
+            ok.pinned_alloc(format_args!("staging"), cost).unwrap(),
+            cost
+        );
         assert_eq!(ok.report().pinned_failures, 1);
         assert_eq!(
             ok.report().degradations,
@@ -450,7 +464,7 @@ mod tests {
 
         let mut brittle = ChaosCtx::new(&plan, &RecoveryPolicy::brittle(), &["w"]);
         assert!(matches!(
-            brittle.pinned_alloc("staging", cost),
+            brittle.pinned_alloc(format_args!("staging"), cost),
             Err(SimError::PinnedAllocFailed { .. })
         ));
     }
@@ -474,7 +488,7 @@ mod tests {
     fn absorb_accumulates_attempts() {
         let mut total = ChaosReport::new(3);
         let mut a = heavy_ctx(3);
-        let _ = a.transfer("t", Nanos::from_micros(50));
+        let _ = a.transfer(format_args!("t"), Nanos::from_micros(50));
         a.record_abandoned("uvm", "standard", Nanos::from_micros(100));
         let a = a.finish();
         let faults = a.transfer_faults;

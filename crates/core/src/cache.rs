@@ -631,6 +631,33 @@ mod tests {
         );
     }
 
+    /// The UVM TLB geometries are device constants, so a slower page walk
+    /// (600 -> 900 cycles) is a new fingerprint: an entry stored for the
+    /// old device misses for the new one.
+    #[test]
+    fn tlb_walk_cost_changes_the_fingerprint() {
+        let base = Device::a100_epyc();
+        let mut slow_walks = base.clone();
+        slow_walks.gpu.uvm_tlb.walk_cycles = 900.0;
+        assert_ne!(device_fingerprint(&base), device_fingerprint(&slow_walks));
+        let mut slow_coalesced = base.clone();
+        slow_coalesced.gpu.uvm_tlb_coalesced.walk_cycles = 300.0;
+        assert_ne!(
+            device_fingerprint(&base),
+            device_fingerprint(&slow_coalesced)
+        );
+
+        let cache = DiskCache::at(scratch_dir("tlb"));
+        let key_for = |d: &Device| CacheKey::new("saxpy", TransferMode::Uvm, device_fingerprint(d));
+        cache.store(&key_for(&base), &rich_report());
+        assert!(
+            cache.load(&key_for(&base)).is_some(),
+            "warm for the old device"
+        );
+        assert_eq!(cache.load(&key_for(&slow_walks)), None);
+        let _ = cache.clear();
+    }
+
     #[test]
     fn choice_resolution_grammar() {
         assert_eq!(resolve_choice(Some("off")), CacheChoice::Disabled);

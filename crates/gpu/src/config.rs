@@ -4,6 +4,23 @@ use hetsim_engine::time::ClockDomain;
 use hetsim_mem::cache::CacheConfig;
 use hetsim_mem::carveout::Carveout;
 use hetsim_mem::hbm::Hbm;
+use hetsim_mem::tlb::TlbConfig;
+
+/// Which of a device's two UVM TLB geometries a managed-memory run
+/// translates through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum UvmTlb {
+    /// Demand-migrated ranges: [`GpuConfig::uvm_tlb`].
+    Demand,
+    /// Prefetched ranges, coalesced into large mappings:
+    /// [`GpuConfig::uvm_tlb_coalesced`].
+    Coalesced,
+}
+
+impl UvmTlb {
+    /// Both geometries, in the order of their discriminants.
+    pub const ALL: [UvmTlb; 2] = [UvmTlb::Demand, UvmTlb::Coalesced];
+}
 
 /// A GPU device configuration.
 ///
@@ -35,6 +52,11 @@ pub struct GpuConfig {
     pub l2: CacheConfig,
     /// Device global memory.
     pub hbm: Hbm,
+    /// GPU MMU TLB over demand-migrated managed memory.
+    pub uvm_tlb: TlbConfig,
+    /// GPU MMU TLB over prefetched managed ranges, which coalesce into
+    /// larger mappings with cheaper walks.
+    pub uvm_tlb_coalesced: TlbConfig,
 
     // ---- per-SM pipe throughputs (bytes or ops per cycle) ----
     /// L1/shared-memory port bandwidth per SM, bytes/cycle.
@@ -108,6 +130,8 @@ impl GpuConfig {
             // 40 MB, 128B lines, 16-way.
             l2: CacheConfig::new(40 * (1 << 20), 128, 16),
             hbm: Hbm::a100_40gb(),
+            uvm_tlb: TlbConfig::a100_uvm(),
+            uvm_tlb_coalesced: TlbConfig::a100_uvm_coalesced(),
             l1_bytes_per_cycle: 128.0,
             l2_bytes_per_cycle: 96.0,
             fp_per_cycle: 64.0,
@@ -136,6 +160,14 @@ impl GpuConfig {
         let granule = self.l1_line * self.l1_ways as u64;
         let capacity = (raw / granule).max(1) * granule;
         CacheConfig::new(capacity, self.l1_line, self.l1_ways)
+    }
+
+    /// The TLB geometry `which` names.
+    pub fn tlb(&self, which: UvmTlb) -> TlbConfig {
+        match which {
+            UvmTlb::Demand => self.uvm_tlb,
+            UvmTlb::Coalesced => self.uvm_tlb_coalesced,
+        }
     }
 
     /// Returns a copy with a different carveout (Fig 13 sweeps this).

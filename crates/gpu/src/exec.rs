@@ -32,11 +32,15 @@
 //!
 //! * **Replay** depends only on the kernel and the style: the sampled
 //!   blocks go through the L1/L2 models, leaving per-block pipe traffic,
-//!   the instruction mix and the cache counters.
-//! * **Costing** does the rest: the environment's TLB walk (which
-//!   regenerates the global access stream), tile extrapolation, the
-//!   environment's L2 warming and the pipe model above. It also emits the
-//!   `gpu.blocks` and `gpu.pipeline` trace spans.
+//!   the instruction mix and the cache counters. Every global access also
+//!   walks a TLB of each of the device's two UVM geometries
+//!   ([`GpuConfig::uvm_tlb`] and [`GpuConfig::uvm_tlb_coalesced`]), cold
+//!   at the start of each sampled block, and the replay keeps each
+//!   block's misses under both.
+//! * **Costing** does the rest: page-walk cycles from the misses of the
+//!   environment's TLB geometry, tile extrapolation, the environment's L2
+//!   warming and the pipe model above. It also emits the `gpu.blocks` and
+//!   `gpu.pipeline` trace spans. Costing generates no accesses.
 //!
 //! The transfer mode changes how a replay is costed, never what the caches
 //! see, so an executor keeps the replays it has run and reuses them:
@@ -46,14 +50,23 @@
 //! the style, the sampled block and tile counts, and the L1 and L2
 //! geometry. Kernels without a key replay on every call. The memo lives in
 //! the executor and its clones, so a fresh executor starts cold.
+//!
+//! A replay's L1 and L2 models outlive it: each thread keeps the last
+//! pair, emptied by [`Cache::reset`] before the next replay, so a replay
+//! allocates no cache rows once the thread has replayed a kernel that
+//! touches as many sets. A change of geometry (the L1 follows the
+//! carveout) builds the changed cache afresh. A caller about to build
+//! large state of its own gives the pair back with
+//! [`release_replay_caches`].
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, UvmTlb};
 use crate::kernel::{KernelModel, KernelStyle};
 use hetsim_counters::{CacheCounters, InstClass, InstructionMix, Occupancy};
 use hetsim_engine::time::Nanos;
 use hetsim_mem::addr::{AccessKind, MemAccess, MemSpace};
 use hetsim_mem::cache::{Cache, CacheConfig};
-use hetsim_mem::tlb::{Tlb, TlbConfig};
+use hetsim_mem::tlb::Tlb;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -67,11 +80,12 @@ pub struct ExecEnv {
     /// Fraction of streaming HBM read traffic served from a prefetch-warmed
     /// L2 instead (UVM prefetch streams chunks into L2 just ahead of use).
     pub l2_warm_fraction: f64,
-    /// When set, every global access also walks a TLB of this geometry and
-    /// misses charge page-walk cycles — the mechanistic part of UVM
-    /// translation cost. `None` for unmanaged memory (the GPU's native
-    /// large mappings effectively never miss).
-    pub tlb: Option<TlbConfig>,
+    /// When set, the kernel's global accesses translate through this one
+    /// of the device's UVM TLB geometries and misses charge page-walk
+    /// cycles — the mechanistic part of UVM translation cost. `None` for
+    /// unmanaged memory (the GPU's native large mappings effectively never
+    /// miss).
+    pub tlb: Option<UvmTlb>,
 }
 
 impl ExecEnv {
@@ -103,9 +117,10 @@ impl ExecEnv {
         }
     }
 
-    /// Adds a TLB model to the environment (managed-memory runs).
-    pub fn with_tlb(mut self, config: TlbConfig) -> Self {
-        self.tlb = Some(config);
+    /// Translates through the device's `tlb` geometry (managed-memory
+    /// runs).
+    pub fn with_tlb(mut self, tlb: UvmTlb) -> Self {
+        self.tlb = Some(tlb);
         self
     }
 }
@@ -180,6 +195,9 @@ struct Replay {
     /// Per sampled block, before translation, tile extrapolation and L2
     /// warming.
     blocks: Vec<BlockAccum>,
+    /// Per sampled block, the TLB misses of its sampled tiles under each
+    /// UVM geometry, indexed by [`UvmTlb`].
+    tlb_misses: Vec<[u64; 2]>,
     /// Instructions of the sampled tiles, unscaled.
     inst: InstructionMix,
     l1: CacheCounters,
@@ -240,10 +258,41 @@ impl fmt::Debug for ReplayMemo {
     }
 }
 
-/// The caches, instruction mix and current block of one replay.
+thread_local! {
+    /// The L1 and L2 of this thread's last replay, kept for the next one.
+    static KEPT_CACHES: Cell<Option<(Cache, Cache)>> = const { Cell::new(None) };
+}
+
+/// Drops the L1 and L2 models this thread keeps between replays (see the
+/// [module docs](self)); the thread's next replay builds new ones.
+///
+/// A caller that is about to build large state of its own releases them
+/// first, so the kept rows (up to a few MB for the A100's L2) never sit
+/// beside it.
+pub fn release_replay_caches() {
+    KEPT_CACHES.set(None);
+}
+
+/// This thread's kept caches, emptied, where their geometry is still `l1`
+/// and `l2`; new caches where it is not.
+fn take_caches(l1: CacheConfig, l2: CacheConfig) -> (Cache, Cache) {
+    let reuse = |kept: Option<Cache>, config: CacheConfig| match kept {
+        Some(mut cache) if cache.config() == config => {
+            cache.reset();
+            cache
+        }
+        _ => Cache::new(config),
+    };
+    let (kept_l1, kept_l2) = KEPT_CACHES.take().unzip();
+    (reuse(kept_l1, l1), reuse(kept_l2, l2))
+}
+
+/// The caches, TLBs, instruction mix and current block of one replay.
 struct Replayer {
     l1: Cache,
     l2: Cache,
+    /// One TLB per UVM geometry, indexed by [`UvmTlb`].
+    tlbs: [Tlb; 2],
     inst: InstructionMix,
     acc: BlockAccum,
     line: f64,
@@ -349,7 +398,8 @@ impl KernelExecutor {
         self.replays.insert(id, variant, replay)
     }
 
-    /// Replays the sampled blocks of `kernel` through the L1 and L2.
+    /// Replays the sampled blocks of `kernel` through the L1 and L2 and
+    /// both UVM TLBs.
     fn simulate(
         &self,
         kernel: &dyn KernelModel,
@@ -359,9 +409,12 @@ impl KernelExecutor {
         let cfg = &self.config;
         let threads = kernel.launch().threads_per_block as f64;
         let mut blocks = Vec::with_capacity(sampling.samples as usize);
+        let mut tlb_misses = Vec::with_capacity(sampling.samples as usize);
+        let (l1, l2) = take_caches(cfg.l1_config(), cfg.l2);
         let mut r = Replayer {
-            l1: Cache::new(cfg.l1_config()),
-            l2: Cache::new(cfg.l2),
+            l1,
+            l2,
+            tlbs: UvmTlb::ALL.map(|tlb| Tlb::new(cfg.tlb(tlb))),
             inst: InstructionMix::new(),
             acc: BlockAccum::default(),
             line: cfg.l1_line as f64,
@@ -373,11 +426,22 @@ impl KernelExecutor {
             let block = sampling.block(s);
             r.acc = BlockAccum::default();
             // Each sampled block starts with a cold L1 (a fresh block on an
-            // SM inherits little) but shares the device-wide L2.
+            // SM inherits little) and cold TLBs, but shares the device-wide
+            // L2.
             r.l1.flush();
+            for tlb in &mut r.tlbs {
+                tlb.reset();
+            }
 
             for tile in 0..sampling.sampled_tiles {
-                tile_accesses(kernel, style, block, tile, &mut stream_buf, &mut local_buf);
+                stream_buf.clear();
+                local_buf.clear();
+                if style.is_staged() {
+                    kernel.staged_stream_accesses(block, tile, &mut stream_buf);
+                } else {
+                    kernel.stream_accesses(block, tile, &mut stream_buf);
+                }
+                kernel.local_accesses(block, tile, &mut local_buf);
                 for a in &stream_buf {
                     r.stream(a, style);
                 }
@@ -404,14 +468,18 @@ impl KernelExecutor {
                 }
             }
             blocks.push(r.acc);
+            tlb_misses.push(r.tlbs.each_ref().map(Tlb::misses));
         }
 
-        Replay {
+        let replay = Replay {
             blocks,
+            tlb_misses,
             inst: r.inst,
             l1: r.l1.counters(),
             l2: r.l2.counters(),
-        }
+        };
+        KEPT_CACHES.set(Some((r.l1, r.l2)));
+        replay
     }
 
     /// Costs a replay in environment `env`.
@@ -441,26 +509,16 @@ impl KernelExecutor {
         let warps_per_block = launch.warps_per_block(cfg.warp_size) as f64;
         let active_warps = warps_per_block * resident_eff;
         let tile_scale = tiles as f64 / sampled_tiles as f64;
-        let mut stream_buf = Vec::new();
-        let mut local_buf = Vec::new();
+        let tlb = env.tlb.map(|tlb| (tlb as usize, cfg.tlb(tlb).walk_cycles));
 
-        for (s, raw) in (0..samples).zip(&replay.blocks) {
+        for ((s, raw), misses) in (0..samples).zip(&replay.blocks).zip(&replay.tlb_misses) {
             let block = sampling.block(s);
             let mut acc = *raw;
 
-            if let Some(tlb_config) = env.tlb {
-                // Every global access translates, cp.async included.
-                let mut tlb = Tlb::new(tlb_config);
-                for tile in 0..sampled_tiles {
-                    tile_accesses(kernel, style, block, tile, &mut stream_buf, &mut local_buf);
-                    for a in stream_buf.iter().chain(local_buf.iter()) {
-                        if a.space == MemSpace::Global {
-                            tlb.access(a.addr);
-                        }
-                    }
-                }
-                acc.tlb_walk_cycles = tlb.walk_cycles();
-                acc.tlb_misses = tlb.misses() as f64;
+            if let Some((geometry, walk_cycles)) = tlb {
+                let misses = misses[geometry];
+                acc.tlb_walk_cycles = misses as f64 * walk_cycles;
+                acc.tlb_misses = misses as f64;
             }
 
             // Extrapolate the sampled tiles to the block's full tile count.
@@ -647,8 +705,19 @@ impl KernelExecutor {
 }
 
 impl Replayer {
+    /// Translates one access through both TLBs. Every global access
+    /// translates, cp.async included.
+    fn translate(&mut self, a: &MemAccess) {
+        if a.space == MemSpace::Global {
+            for tlb in &mut self.tlbs {
+                tlb.access(a.addr);
+            }
+        }
+    }
+
     /// Fetches one line of the streaming input.
     fn stream(&mut self, a: &MemAccess, style: KernelStyle) {
+        self.translate(a);
         let (acc, line) = (&mut self.acc, self.line);
         self.inst.record(InstClass::MemLoad, 1);
         match style {
@@ -690,6 +759,7 @@ impl Replayer {
 
     /// Performs one re-referenced access or output store.
     fn local(&mut self, a: &MemAccess, style: KernelStyle) {
+        self.translate(a);
         let (acc, line) = (&mut self.acc, self.line);
         let staged = style.is_staged();
         match a.kind {
@@ -727,25 +797,6 @@ impl Replayer {
             }
         }
     }
-}
-
-/// Regenerates one tile's streaming and local accesses into the buffers.
-fn tile_accesses(
-    kernel: &dyn KernelModel,
-    style: KernelStyle,
-    block: u64,
-    tile: u64,
-    stream: &mut Vec<MemAccess>,
-    local: &mut Vec<MemAccess>,
-) {
-    stream.clear();
-    local.clear();
-    if style.is_staged() {
-        kernel.staged_stream_accesses(block, tile, stream);
-    } else {
-        kernel.stream_accesses(block, tile, stream);
-    }
-    kernel.local_accesses(block, tile, local);
 }
 
 impl BlockAccum {

@@ -27,7 +27,7 @@ pub mod exec;
 pub mod kernel;
 pub mod trace;
 
-pub use config::GpuConfig;
+pub use config::{GpuConfig, UvmTlb};
 pub use exec::{ExecEnv, KernelExecutor, KernelResult};
 pub use kernel::{KernelModel, KernelStyle, LaunchConfig, TileOps};
 pub use trace::KernelTrace;

@@ -1,14 +1,15 @@
 //! Soundness of the executor's replay memo: sharing a cache replay across
 //! calls must never change a result. A shared executor has to agree with a
 //! fresh executor per call, and kernels whose access streams differ, or
-//! executors that sample or cache differently, must never share.
+//! executors that sample or cache differently, must never share. The L1
+//! and L2 models a thread keeps from one replay to the next must never
+//! carry anything over either.
 
-use hetsim_gpu::exec::{ExecEnv, KernelExecutor, KernelResult};
+use hetsim_gpu::exec::{release_replay_caches, ExecEnv, KernelExecutor, KernelResult};
 use hetsim_gpu::kernel::{KernelModel, KernelStyle, LaunchConfig, TileOps};
-use hetsim_gpu::{GpuConfig, KernelTrace};
+use hetsim_gpu::{GpuConfig, KernelTrace, UvmTlb};
 use hetsim_mem::addr::MemAccess;
 use hetsim_mem::carveout::Carveout;
-use hetsim_mem::tlb::TlbConfig;
 use hetsim_uvm::prefetch::Regularity;
 use hetsim_workloads::size::InputSize;
 use hetsim_workloads::spec::{KernelSpec, StreamPattern};
@@ -21,8 +22,8 @@ use std::sync::Barrier;
 /// mappings, and prefetched UVM (plain and async) through 2 MiB mappings
 /// with a partly warmed L2.
 fn mode_runs(standard: KernelStyle) -> [(KernelStyle, ExecEnv); 5] {
-    let uvm = ExecEnv::new(1.3, 0.0).with_tlb(TlbConfig::a100_uvm());
-    let prefetch = ExecEnv::new(1.1, 0.4).with_tlb(TlbConfig::a100_uvm_coalesced());
+    let uvm = ExecEnv::new(1.3, 0.0).with_tlb(UvmTlb::Demand);
+    let prefetch = ExecEnv::new(1.1, 0.4).with_tlb(UvmTlb::Coalesced);
     [
         (standard, ExecEnv::standard()),
         (KernelStyle::StagedAsync, ExecEnv::standard()),
@@ -208,18 +209,21 @@ fn keyless_kernels_are_never_memoized() {
     assert_eq!(exec.execute(&keyless, KernelStyle::Direct, &env), first);
     assert_eq!(keyless.calls(), 2 * per_replay, "replayed again");
 
-    // The same kernel with a key replays once; only the TLB walk of a
-    // managed environment regenerates its stream.
+    // A managed environment translates during the replay, so a keyless
+    // kernel still generates its stream once per call.
+    let uvm = ExecEnv::new(1.3, 0.0).with_tlb(UvmTlb::Demand);
+    let translated = exec.execute(&keyless, KernelStyle::Direct, &uvm);
+    assert_eq!(keyless.calls(), 3 * per_replay, "one replay, no TLB walk");
+    assert!(translated.tlb_misses > 0);
+
+    // The same kernel with a key replays once, and costing it in a
+    // managed environment generates nothing.
     let keyed = Counted::new(Some("counted"));
     exec.execute(&keyed, KernelStyle::Direct, &env);
     exec.execute(&keyed, KernelStyle::Direct, &env);
     assert_eq!(keyed.calls(), per_replay, "served from the memo");
-    let uvm = ExecEnv::new(1.3, 0.0).with_tlb(TlbConfig::a100_uvm());
-    assert_eq!(
-        exec.execute(&keyed, KernelStyle::Direct, &uvm),
-        fresh(&keyless, KernelStyle::Direct, &uvm)
-    );
-    assert_eq!(keyed.calls(), 2 * per_replay, "the TLB walk only");
+    assert_eq!(exec.execute(&keyed, KernelStyle::Direct, &uvm), translated);
+    assert_eq!(keyed.calls(), per_replay, "costing regenerates nothing");
 
     // Recorded traces carry no key.
     let trace = KernelTrace::record(&base_spec(), 6);
@@ -244,4 +248,61 @@ fn executor_is_shareable_across_threads() {
         }
     });
     assert_eq!(exec.execute(&k, KernelStyle::StagedSync, &env), expected);
+}
+
+/// A thread keeps its replay caches from one kernel to the next. Replaying
+/// kernel A and then kernel B on one thread must give B the result it gets
+/// on new caches, also when the style or the L1 geometry (the carveout)
+/// changes in between. A reads the lines B reads, so anything A left in
+/// the caches would turn B's misses into hits, and B re-reads a table that
+/// fits the default L1 but not the carveout's smaller one, so a kept L1 of
+/// the wrong size would change B's hits.
+#[test]
+fn replaying_a_then_b_on_one_thread_matches_new_caches() {
+    let a100 = GpuConfig::a100();
+    let small_l1 = a100.with_carveout(Carveout::with_shared_kib(132).expect("valid carveout"));
+    let a = base_spec().with_stores(9).with_local_reads(12, 64, true);
+    let b = base_spec().with_local_reads(64, 512, true);
+    let (direct, sync, cp_async) = (
+        KernelStyle::Direct,
+        KernelStyle::StagedSync,
+        KernelStyle::StagedAsync,
+    );
+    let steps = [
+        ((&a100, direct), (&a100, cp_async)),
+        ((&a100, cp_async), (&a100, direct)),
+        ((&a100, sync), (&small_l1, sync)),
+        ((&small_l1, direct), (&a100, direct)),
+        ((&small_l1, sync), (&small_l1, direct)),
+    ];
+    let standard = ExecEnv::standard();
+    release_replay_caches();
+    assert_ne!(
+        KernelExecutor::new(a100.clone()).execute(&b, direct, &standard),
+        KernelExecutor::new(small_l1.clone()).execute(&b, direct, &standard),
+        "B must see the L1 size for the test to bite"
+    );
+    let envs = [
+        ExecEnv::standard(),
+        ExecEnv::new(1.3, 0.0).with_tlb(UvmTlb::Demand),
+        ExecEnv::new(1.1, 0.4).with_tlb(UvmTlb::Coalesced),
+    ];
+    for ((config_a, style_a), (config_b, style_b)) in steps {
+        for env in &envs {
+            release_replay_caches();
+            let expected = KernelExecutor::new(config_b.clone()).execute(&b, style_b, env);
+            // A starts from new caches too, so B gets exactly what A left.
+            // New executors, so neither result comes from a memo.
+            release_replay_caches();
+            let first = KernelExecutor::new(config_a.clone()).execute(&a, style_a, env);
+            assert_ne!(first, expected, "A and B must differ for the test to bite");
+            assert_eq!(
+                KernelExecutor::new(config_b.clone()).execute(&b, style_b, env),
+                expected,
+                "{style_a} then {style_b}, L1 {:?} then {:?}, {env:?}",
+                config_a.l1_config(),
+                config_b.l1_config()
+            );
+        }
+    }
 }

@@ -9,7 +9,9 @@
 //! Sets are rows of line numbers kept in most-recently-used-first order,
 //! and row storage grows with the sets an access stream touches, not with
 //! the capacity: a 40 MB L2 that a kernel sample touches in a few hundred
-//! sets holds a few hundred rows.
+//! sets holds a few hundred rows. [`Cache::reset`] empties a cache for the
+//! next stream but keeps its rows allocated, so a cache reused stream after
+//! stream stops allocating once it has held the largest one.
 
 use crate::addr::{AccessKind, Addr};
 use hetsim_counters::CacheCounters;
@@ -55,6 +57,45 @@ impl CacheConfig {
 /// Rows allocated at a time.
 const ROWS_PER_CHUNK: usize = 64;
 
+/// The set of a line number: a mask when the set count is a power of two,
+/// otherwise Lemire's direct remainder (Lemire, Kaser and Kurz, "Faster
+/// Remainder by Direct Computation", 2019). With 128 fractional bits the
+/// remainder is exact for every 64-bit line number and every divisor, and
+/// costs a few multiplications instead of a division.
+#[derive(Debug, Clone, Copy)]
+struct SetIndex {
+    sets: u64,
+    /// `ceil(2^128 / sets)`; zero when `sets` is a power of two.
+    magic: u128,
+}
+
+impl SetIndex {
+    fn new(sets: u64) -> Self {
+        assert!(sets > 0, "zero sets");
+        let magic = if sets.is_power_of_two() {
+            0
+        } else {
+            u128::MAX / sets as u128 + 1
+        };
+        SetIndex { sets, magic }
+    }
+
+    /// `line_no % sets`.
+    #[inline]
+    fn of(&self, line_no: u64) -> u64 {
+        if self.magic == 0 {
+            return line_no & (self.sets - 1);
+        }
+        // The fractional part of `line_no / sets`, times `sets`, is the
+        // remainder: the high 64 bits of the 192-bit product
+        // `frac * sets`, taken in two 64-bit halves.
+        let frac = self.magic.wrapping_mul(line_no as u128);
+        let lo = (frac as u64 as u128 * self.sets as u128) >> 64;
+        let hi = (frac >> 64) * self.sets as u128;
+        ((hi + lo) >> 64) as u64
+    }
+}
+
 /// A set-associative LRU cache.
 ///
 /// Each set is a row of line numbers in most-recently-used-first order, so
@@ -62,9 +103,10 @@ const ROWS_PER_CHUNK: usize = 64;
 /// line: exact LRU without a use clock. Rows are allocated, a chunk of
 /// rows at a time, only for the sets an access stream actually touches,
 /// found through a set-to-row index of four bytes per set. The line
-/// number comes from a shift and the set from one division (a mask when
-/// the set count is a power of two). The full line number is stored as
-/// the tag, since the set index is a function of it.
+/// number comes from a shift and the set from a mask when the set count
+/// is a power of two, otherwise from a multiplicative remainder (the
+/// A100's 320-set L1 and 20480-set L2 take this path). The full line
+/// number is stored as the tag, since the set index is a function of it.
 ///
 /// # Example
 ///
@@ -87,10 +129,14 @@ pub struct Cache {
     /// never copied.
     chunks: Vec<Box<[u64]>>,
     /// Valid lines per row (a prefix of the row); as wide as
-    /// [`CacheConfig::ways`], so any associativity fits.
+    /// [`CacheConfig::ways`], so any associativity fits. Its length is
+    /// the number of rows in use.
     fill: Vec<u32>,
+    /// The set each row in use belongs to, so [`Cache::reset`] unlinks
+    /// exactly the sets the stream touched.
+    set_of_row: Vec<u32>,
     ways: usize,
-    sets: u64,
+    index: SetIndex,
     line_shift: u32,
     counters: CacheCounters,
 }
@@ -104,8 +150,9 @@ impl Cache {
             row_of: vec![0; sets as usize],
             chunks: Vec::new(),
             fill: Vec::new(),
+            set_of_row: Vec::new(),
             ways: config.ways as usize,
-            sets,
+            index: SetIndex::new(sets),
             line_shift: config.line.trailing_zeros(),
             counters: CacheCounters::new(),
         }
@@ -117,14 +164,10 @@ impl Cache {
     }
 
     /// Line number and set index of `addr`.
+    #[inline]
     fn locate(&self, addr: Addr) -> (u64, usize) {
         let line_no = addr.as_u64() >> self.line_shift;
-        let set = if self.sets.is_power_of_two() {
-            line_no & (self.sets - 1)
-        } else {
-            line_no % self.sets
-        };
-        (line_no, set as usize)
+        (line_no, self.index.of(line_no) as usize)
     }
 
     /// Performs one access; returns `true` on hit.
@@ -138,7 +181,8 @@ impl Cache {
             let rows = self.fill.len();
             self.row_of[set] = u32::try_from(rows + 1).expect("under 2^32 touched sets");
             self.fill.push(0);
-            if rows.is_multiple_of(ROWS_PER_CHUNK) {
+            self.set_of_row.push(set as u32);
+            if rows / ROWS_PER_CHUNK == self.chunks.len() {
                 // A cache with fewer sets than a chunk needs only its sets.
                 let chunk_rows = ROWS_PER_CHUNK.min(self.row_of.len());
                 self.chunks
@@ -209,6 +253,20 @@ impl Cache {
 
     /// Resets the counters without touching residency.
     pub fn reset_counters(&mut self) {
+        self.counters = CacheCounters::new();
+    }
+
+    /// Returns the cache to the state of [`Cache::new`]: no resident
+    /// lines, no touched sets, zero counters.
+    ///
+    /// Only the sets the last stream touched are unlinked, and the row
+    /// storage stays allocated for the next stream to fill.
+    pub fn reset(&mut self) {
+        for &set in &self.set_of_row {
+            self.row_of[set as usize] = 0;
+        }
+        self.set_of_row.clear();
+        self.fill.clear();
         self.counters = CacheCounters::new();
     }
 }
@@ -332,6 +390,50 @@ mod tests {
         c.flush();
         c.access(Addr::new(0), AccessKind::Load);
         assert_eq!(c.fill.len(), 2, "flushed sets keep their rows");
+    }
+
+    #[test]
+    fn set_index_matches_remainder() {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let edges = [0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 32) - 1];
+        for sets in (1..=4096).chain([320, 20480]) {
+            let index = SetIndex::new(sets);
+            for n in edges.into_iter().chain(edges.map(|e| e ^ sets)) {
+                assert_eq!(index.of(n), n % sets, "{n} % {sets}");
+            }
+            for _ in 0..64 {
+                // Full-width numbers and small ones, where the low bits
+                // decide the remainder.
+                let n = next();
+                assert_eq!(index.of(n), n % sets, "{n} % {sets}");
+                assert_eq!(index.of(n >> 40), (n >> 40) % sets, "{} % {sets}", n >> 40);
+            }
+        }
+    }
+
+    #[test]
+    fn reset_empties_and_keeps_rows() {
+        let mut c = Cache::new(CacheConfig::new(40 << 20, 128, 16));
+        for i in 0..200 {
+            c.access(Addr::new(i * 128), AccessKind::Load);
+        }
+        let chunks = c.chunks.len();
+        assert_eq!(chunks, 4, "200 rows in chunks of 64");
+        c.reset();
+        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.counters(), CacheCounters::new());
+        assert!(c.row_of.iter().all(|&r| r == 0), "every set unlinked");
+        assert!(!c.contains(Addr::new(0)));
+        for i in 0..200 {
+            assert!(!c.access(Addr::new((i + 7) * 128), AccessKind::Load));
+        }
+        assert_eq!(c.chunks.len(), chunks, "refilling allocates no chunk");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! overhead of a kernel *emerges from its access stream*: dense sequential
 //! walks hit a few pages repeatedly, random walks miss constantly.
 //!
-//! The executor replays each global access through a [`Tlb`] when a run
-//! uses managed memory and derives the translation stall from the measured
-//! miss count × the page-walk cost.
+//! The executor walks each global access of a kernel replay through a
+//! [`Tlb`] of each of the device's UVM geometries and keeps the miss
+//! counts; a run that uses managed memory derives its translation stall
+//! from the misses of its geometry × the page-walk cost.
 
 use crate::addr::Addr;
 
@@ -64,6 +65,12 @@ impl Default for TlbConfig {
 /// from a shift (page sizes are powers of two), and the set index from a
 /// mask when the set count is a power of two too.
 ///
+/// An access to the same page as the access before it is a hit that
+/// changes no state: that page's entry was used last, so it already holds
+/// the newest use stamp, and leaving the stamps alone keeps every later
+/// victim choice. Streams that walk a page line by line take this path
+/// for almost every access.
+///
 /// # Example
 ///
 /// ```
@@ -85,6 +92,9 @@ pub struct Tlb {
     sets: u64,
     page_shift: u32,
     clock: u64,
+    /// The page of the previous access, resident and most recently used;
+    /// `None` before the first access and after a reset.
+    last_page: Option<u64>,
     hits: u64,
     misses: u64,
 }
@@ -110,6 +120,7 @@ impl Tlb {
             sets: (config.entries / config.ways) as u64,
             page_shift: config.page_bytes.trailing_zeros(),
             clock: 0,
+            last_page: None,
             hits: 0,
             misses: 0,
         }
@@ -121,9 +132,15 @@ impl Tlb {
     }
 
     /// Translates one access; returns `true` on TLB hit.
+    #[inline]
     pub fn access(&mut self, addr: Addr) -> bool {
-        self.clock += 1;
         let page = addr.as_u64() >> self.page_shift;
+        if self.last_page == Some(page) {
+            self.hits += 1;
+            return true;
+        }
+        self.last_page = Some(page);
+        self.clock += 1;
         let set = if self.sets.is_power_of_two() {
             page & (self.sets - 1)
         } else {
@@ -165,14 +182,10 @@ impl Tlb {
         }
     }
 
-    /// Total page-walk cycles incurred so far.
-    pub fn walk_cycles(&self) -> f64 {
-        self.misses as f64 * self.config.walk_cycles
-    }
-
     /// Clears residency and counters (between kernels).
     pub fn reset(&mut self) {
         self.ways.fill((0, 0));
+        self.last_page = None;
         self.hits = 0;
         self.misses = 0;
     }
@@ -208,7 +221,6 @@ mod tests {
             t.access(Addr::new(page * 64 * 1024));
         }
         assert!(t.miss_rate() > 0.9, "rate {}", t.miss_rate());
-        assert!(t.walk_cycles() > 0.0);
     }
 
     #[test]
@@ -309,13 +321,10 @@ mod tests {
         }
     }
 
-    /// The flat TLB reproduces the reference model's hit/miss sequence and
-    /// walk cycles on random streams mixing locality and scatter, over the
-    /// UVM geometry, the prefetch (2 MB) geometry, a non-power-of-two set
-    /// count and degenerate shapes.
-    #[test]
-    fn flat_tlb_matches_per_set_model() {
-        let geometries = [
+    /// The UVM geometry, the prefetch (2 MB) geometry, a non-power-of-two
+    /// set count and degenerate shapes.
+    fn geometries() -> [TlbConfig; 5] {
+        [
             TlbConfig::a100_uvm(),
             TlbConfig::a100_uvm_coalesced(),
             TlbConfig {
@@ -336,24 +345,55 @@ mod tests {
                 ways: 7,
                 walk_cycles: 3.0,
             },
-        ];
-        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut next = || {
+        ]
+    }
+
+    /// A xorshift stream of random 64-bit numbers.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             x
-        };
-        for cfg in geometries {
-            let mut flat = Tlb::new(cfg);
-            let mut model = ModelTlb::new(cfg);
+        }
+    }
+
+    /// Drives the flat TLB and the reference model through 20 000
+    /// addresses from `addr(step)`, resetting both halfway, and checks
+    /// every hit result and the final hit and miss counts.
+    fn matches_model(cfg: TlbConfig, mut addr: impl FnMut(u32) -> u64) {
+        let mut flat = Tlb::new(cfg);
+        let mut model = ModelTlb::new(cfg);
+        for step in 0..20_000u32 {
+            let addr = addr(step);
+            assert_eq!(
+                flat.access(Addr::new(addr)),
+                model.access(Addr::new(addr)),
+                "{cfg:?} step {step} addr {addr:#x}"
+            );
+            if step == 10_000 {
+                flat.reset();
+                model.reset();
+            }
+        }
+        assert_eq!(flat.hits(), model.hits, "{cfg:?}");
+        assert_eq!(flat.misses(), model.misses, "{cfg:?}");
+        assert!(flat.hits() > 0 && flat.misses() > 0, "{cfg:?}");
+    }
+
+    /// The flat TLB reproduces the reference model's hit/miss sequence on
+    /// random streams mixing locality and scatter.
+    #[test]
+    fn flat_tlb_matches_per_set_model() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for cfg in geometries() {
             let reach = cfg.page_bytes * cfg.entries as u64;
             let mut cursor = 0u64;
-            for step in 0..20_000u32 {
+            matches_model(cfg, |_| {
                 let r = next();
                 // Mostly a walking cursor within twice the TLB's reach,
                 // sometimes a far jump, now and then an extreme address.
-                let addr = match r % 16 {
+                match r % 16 {
                     0 => next(),
                     1 => u64::MAX - (r >> 8) % 4096,
                     2..=4 => {
@@ -364,25 +404,34 @@ mod tests {
                         cursor = cursor.wrapping_add((r >> 4) % (2 * reach / 3 + 1));
                         cursor % (reach * 64)
                     }
-                };
-                assert_eq!(
-                    flat.access(Addr::new(addr)),
-                    model.access(Addr::new(addr)),
-                    "{cfg:?} step {step} addr {addr:#x}"
-                );
-                if step == 10_000 {
-                    flat.reset();
-                    model.reset();
                 }
-            }
-            assert_eq!(flat.hits(), model.hits, "{cfg:?}");
-            assert_eq!(flat.misses(), model.misses, "{cfg:?}");
-            assert!(flat.hits() > 0 && flat.misses() > 0, "{cfg:?}");
-            assert_eq!(
-                flat.walk_cycles(),
-                model.misses as f64 * cfg.walk_cycles,
-                "{cfg:?}"
-            );
+            });
+        }
+    }
+
+    /// Streams that stay on one page for long runs, as a kernel walking a
+    /// page line by line does, take the same-page path for most accesses
+    /// and must still match the model, across resets and between runs
+    /// that revisit, evict and alias earlier pages.
+    #[test]
+    fn same_page_runs_match_per_set_model() {
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for cfg in geometries() {
+            let pages = 4 * cfg.entries as u64 + 3;
+            let (mut page, mut left) = (0u64, 0u64);
+            matches_model(cfg, |_| {
+                if left == 0 {
+                    let r = next();
+                    left = 1 + r % 600;
+                    page = match r >> 60 {
+                        0 => next() >> cfg.page_bytes.trailing_zeros(),
+                        1..=5 => page,
+                        _ => (page + (r >> 20) % 3 + 1) % pages,
+                    };
+                }
+                left -= 1;
+                (page << cfg.page_bytes.trailing_zeros()) | (next() % cfg.page_bytes)
+            });
         }
     }
 

@@ -9,8 +9,9 @@ use hetsim_chaos::{ChaosCtx, ChaosReport, FaultPlan, RecoveryPolicy, SimError};
 use hetsim_counters::{CounterSet, Occupancy};
 use hetsim_engine::rng::SimRng;
 use hetsim_engine::time::Nanos;
-use hetsim_gpu::exec::{ExecEnv, KernelExecutor};
+use hetsim_gpu::exec::{release_replay_caches, ExecEnv, KernelExecutor};
 use hetsim_gpu::kernel::KernelModel;
+use hetsim_gpu::UvmTlb;
 use hetsim_mem::addr::Addr;
 use hetsim_mem::link::LinkPath;
 use hetsim_trace::{Category, Dim};
@@ -366,7 +367,7 @@ impl Runner {
                 .map(|b| b.bytes)
                 .sum();
             let fallback = dev.alloc.alloc_and_free(staging.max(1), false);
-            let extra = ctx.pinned_alloc("staging", fallback)?;
+            let extra = ctx.pinned_alloc(format_args!("staging"), fallback)?;
             trace_phase(
                 Category::Alloc,
                 format_args!("chaos_pinned_fallback"),
@@ -496,7 +497,7 @@ impl Runner {
                 counters.transfer.record_h2d_copy(b.bytes, t);
                 trace_phase(Category::Memcpy, format_args!("memcpy_h2d({})", b.name), t);
                 memcpy += t;
-                let extra = ctx.transfer(&format!("memcpy_h2d({})", b.name), t)?;
+                let extra = ctx.transfer(format_args!("memcpy_h2d({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
                     format_args!("chaos_retry_h2d({})", b.name),
@@ -509,7 +510,7 @@ impl Runner {
                 counters.transfer.record_d2h_copy(b.bytes, t);
                 trace_phase(Category::Memcpy, format_args!("memcpy_d2h({})", b.name), t);
                 memcpy += t;
-                let extra = ctx.transfer(&format!("memcpy_d2h({})", b.name), t)?;
+                let extra = ctx.transfer(format_args!("memcpy_d2h({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
                     format_args!("chaos_retry_d2h({})", b.name),
@@ -553,6 +554,10 @@ impl Runner {
         // traffic rides the `h2d` lane, writebacks and evictions `d2h`,
         // kernels and their fault stalls `compute`.
         let _labels = LabelScope::new();
+        // Give back the executor's kept replay caches here and after each
+        // kernel's replay below, so they and the page table are never
+        // allocated at once: peak memory stays that of the larger one.
+        release_replay_caches();
         let mut space = UvmSpace::new(dev.uvm);
         // Lay buffers out at chunk-aligned, non-overlapping bases.
         let bases: Vec<Addr> = (0..buffers.len())
@@ -604,9 +609,9 @@ impl Runner {
         // demand-migrated runs walk 64 KB mappings; prefetched ranges
         // coalesce into 2 MB mappings with cheap cached walks.
         let tlb = if mode.uses_prefetch() {
-            hetsim_mem::tlb::TlbConfig::a100_uvm_coalesced()
+            UvmTlb::Coalesced
         } else {
-            hetsim_mem::tlb::TlbConfig::a100_uvm()
+            UvmTlb::Demand
         };
         let env = ExecEnv::new(translation, l2_warm).with_tlb(tlb);
 
@@ -621,7 +626,7 @@ impl Runner {
                         .record_prefetch((b.bytes as f64 * coverage) as u64, t);
                     trace_phase(Category::Memcpy, format_args!("prefetch({})", b.name), t);
                     memcpy += t;
-                    let extra = ctx.transfer(&format!("prefetch({})", b.name), t)?;
+                    let extra = ctx.transfer(format_args!("prefetch({})", b.name), t)?;
                     trace_phase(
                         Category::Memcpy,
                         format_args!("chaos_retry_prefetch({})", b.name),
@@ -659,6 +664,7 @@ impl Runner {
             set_label(Dim::Stream, "compute");
             let style = mode.kernel_style(k.standard_style());
             let r = self.executor.execute(*k, style, &env);
+            release_replay_caches();
             let inv = k.invocations().max(1);
             trace_phase(Category::Kernel, format_args!("{}", k.name()), r.time * inv);
             kernel += r.time * inv;
@@ -812,7 +818,7 @@ impl Runner {
                 counters.transfer.record_writeback(b.bytes, t);
                 trace_phase(Category::Memcpy, format_args!("writeback({})", b.name), t);
                 memcpy += t;
-                let extra = ctx.transfer(&format!("writeback({})", b.name), t)?;
+                let extra = ctx.transfer(format_args!("writeback({})", b.name), t)?;
                 trace_phase(
                     Category::Memcpy,
                     format_args!("chaos_retry_writeback({})", b.name),
